@@ -23,6 +23,7 @@ from .level import (
 )
 from .randomness import DEFAULT_SEED, FreshSource, OracleHash, derive_seed, parse_seed
 from .samplers import (
+    FrameError,
     GSampler,
     KParetoSampler,
     ParetoSampler,

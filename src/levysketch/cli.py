@@ -226,38 +226,86 @@ def _summary(values: list[float]) -> Optional[dict]:
     }
 
 
-def cmd_sample(config: RunConfig, records: list[StreamRecord],
-               circuit_text: Optional[str] = None) -> dict:
-    """Replay the stream `reps` times under derived seeds; tabulate outcomes."""
-    kind = config.sketch
-    k = 0
-    if kind.startswith(("wor:", "kpareto:")):
-        base, _, k_text = kind.partition(":")
-        try:
-            k = int(k_text)
-        except ValueError:
-            raise ValueError(f"bad sketch k in {kind!r}") from None
-        if k < 1:
-            raise ValueError(f"sketch k must be >= 1, got {k}")
-        kind = base
-    elif kind.startswith("circuit:"):
-        kind = "circuit"
-    if kind not in ("gsampler", "pareto", "wor", "kpareto", "circuit"):
-        raise ValueError(f"unknown sketch kind {config.sketch!r}")
+class _CircuitSketch:
+    """A loaded circuit behind the sketch protocol: each stream key feeds the
+    input gate named by its token, and the sample is the first output gate's
+    (identifier, value)."""
 
-    level = LevelFunction(parse_weight(config.grammar))
-    display_of = {}
-    for r in records:
-        display_of.setdefault(r.key, r.display)
-
-    loaded = None
-    if kind == "circuit":
+    def __init__(self, circuit_text: Optional[str], records: list[StreamRecord]):
         if circuit_text is None:
             raise ValueError("circuit sketch requires the circuit spec file")
         loaded = load_circuit_file(circuit_text)
         out_ids = loaded.circuit.output_gate_ids()
         if not out_ids:
             raise ValueError("circuit has no output gate")
+        self.circuit = loaded.circuit
+        self._out_id = out_ids[0]
+        self._gate_of: dict[int, object] = {}
+        for r in records:
+            gate_id = loaded.input_by_token.get(r.display)
+            if gate_id is None:
+                raise ValueError(
+                    f"stream key {r.display!r} has no input gate in the circuit")
+            if self._gate_of.setdefault(r.key, gate_id) != gate_id:
+                raise ValueError(
+                    f"stream key {r.display!r} shares id {r.key} with a key "
+                    "that feeds another input gate")
+        self.oracle: Optional[OracleHash] = None
+        self.fresh: Optional[FreshSource] = None
+
+    def start(self, oracle: OracleHash) -> "_CircuitSketch":
+        self.circuit.reset_state()
+        self.oracle = oracle
+        return self
+
+    def update(self, key: int, delta: float) -> None:
+        self.circuit.update(self._gate_of[key], delta, key, self.fresh, self.oracle)
+
+    def query(self) -> Optional[tuple[object, float]]:
+        return self.circuit.output(self._out_id)
+
+
+def _first(out) -> tuple[list, Optional[float]]:
+    return ([], None) if out is None else ([out[0]], out[1])
+
+
+# kind -> (what follows "<kind>:", build(k, level, oracle, circuit),
+#          outcome(sketch, level) -> (sampled keys in order, value or None))
+_KINDS = {
+    "gsampler": (None, lambda k, level, oracle, _: GSampler(level, oracle),
+                 lambda s, level: _first(s.query())),
+    "pareto": (None, lambda k, level, oracle, _: ParetoSampler(oracle),
+               lambda s, level: _first(s.query(level))),
+    "wor": ("k", lambda k, level, oracle, _: WorSampler(k, level, oracle),
+            lambda s, level: (s.sample_ordered(), None)),
+    "kpareto": ("k", lambda k, level, oracle, _: KParetoSampler(k, oracle),
+                lambda s, level: (s.query(level), None)),
+    "circuit": ("file", lambda k, level, oracle, circuit: circuit.start(oracle),
+                lambda s, level: _first(s.query())),
+}
+
+
+def cmd_sample(config: RunConfig, records: list[StreamRecord],
+               circuit_text: Optional[str] = None) -> dict:
+    """Replay the stream `reps` times under derived seeds; tabulate outcomes."""
+    name, sep, param = config.sketch.partition(":")
+    if name not in _KINDS or bool(sep) != (_KINDS[name][0] is not None):
+        raise ValueError(f"unknown sketch kind {config.sketch!r}")
+    takes, build, outcome = _KINDS[name]
+    k = 1
+    if takes == "k":
+        try:
+            k = int(param)
+        except ValueError:
+            raise ValueError(f"bad sketch k in {config.sketch!r}") from None
+        if k < 1:
+            raise ValueError(f"sketch k must be >= 1, got {k}")
+
+    level = LevelFunction(parse_weight(config.grammar))
+    display_of = {}
+    for r in records:
+        display_of.setdefault(r.key, r.display)
+    circuit = _CircuitSketch(circuit_text, records) if takes == "file" else None
 
     counts: Counter = Counter()
     values: list[float] = []
@@ -277,65 +325,22 @@ def cmd_sample(config: RunConfig, records: list[StreamRecord],
             occurrences[(record.key, record.delta)] += 1
             return _record_source(rep_seed, record, occ)
 
-        if kind == "circuit":
-            loaded.circuit.reset_state()
-            for r in records:
-                gate_id = loaded.input_by_token.get(r.display)
-                if gate_id is None:
-                    raise ValueError(
-                        f"stream key {r.display!r} has no input gate in the circuit")
-                loaded.circuit.update(gate_id, r.delta, r.key, source_for(r), oracle)
-            out = loaded.circuit.output(out_ids[0])
-            if out is None:
-                empty += 1
-            else:
-                counts[str(out[0])] += 1
-                values.append(out[1])
-            continue
-
-        if kind == "gsampler":
-            sketch = GSampler(level, oracle)
-        elif kind == "pareto":
-            sketch = ParetoSampler(oracle)
-        elif kind == "wor":
-            sketch = WorSampler(k, level, oracle)
-        else:
-            sketch = KParetoSampler(k, oracle)
-
+        sketch = build(k, level, oracle, circuit)
         for r in records:
             sketch.fresh = source_for(r)
             sketch.update(r.key, r.delta)
 
-        if kind == "gsampler":
-            out = sketch.query()
-            if out is None:
-                empty += 1
-            else:
-                counts[display_of.get(out[0], str(out[0]))] += 1
-                values.append(out[1])
-        elif kind == "pareto":
-            out = sketch.query(level)
+        keys, value = outcome(sketch, level)
+        if hasattr(sketch, "frontier"):
             frontier_sizes.append(len(sketch.frontier))
-            if out is None:
-                empty += 1
-            else:
-                counts[display_of.get(out[0], str(out[0]))] += 1
-                values.append(out[1])
-        elif kind == "wor":
-            ordered = sketch.sample_ordered()
-            if not ordered:
-                empty += 1
-            else:
-                counts[",".join(display_of.get(key, str(key))
-                                for key in ordered)] += 1
-        else:
-            ordered = sketch.query(level)
-            frontier_sizes.append(len(sketch.frontier))
-            if not ordered:
-                empty += 1
-            else:
-                counts[",".join(display_of.get(key, str(key))
-                                for key in ordered)] += 1
+        if not keys:
+            empty += 1
+            continue
+        # circuit outputs name gates or edges, never stream ids, so they
+        # print as themselves
+        counts[",".join(display_of.get(key, str(key)) for key in keys)] += 1
+        if value is not None:
+            values.append(value)
 
     report = {
         "command": "sample",

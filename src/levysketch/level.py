@@ -38,6 +38,8 @@ import math
 from dataclasses import dataclass
 from typing import Union
 
+from scipy.special import ndtri
+
 from .numerics import (
     DEFAULT_TOLERANCE,
     Tolerance,
@@ -45,7 +47,6 @@ from .numerics import (
     poisson_tail,
     regularized_gamma_q,
     solve_monotone_increasing,
-    _norm_quantile,
 )
 
 __all__ = [
@@ -200,6 +201,13 @@ def eval_fhalf(a: float, b: float) -> float:
     return 2.0 * math.sqrt(a) * inv_erf(b)
 
 
+# Both solver-backed levels sit within a few multiples of sqrt(c) of a centre
+# c: the jump count ceil(a/tau) for softcap, a itself for log.  Beyond 2^128
+# that spread is below one ulp of c, so the level is c to double precision,
+# and inf at a = inf; the solvers are never asked to resolve it.
+_CENTRED = 2.0 ** 128
+
+
 def eval_softcap(tau: float, a: float, b: float,
                  tol: Tolerance = DEFAULT_TOLERANCE) -> float:
     """Level function of 1 - exp(-tau*z): the unique w with
@@ -212,7 +220,10 @@ def eval_softcap(tau: float, a: float, b: float,
     if not (tau > 0):
         raise ValueError(f"tau must be positive, got {tau}")
     _check_domain(a, b)
-    k = math.ceil(a / tau)
+    jumps = a / tau
+    if jumps > _CENTRED:
+        return jumps
+    k = math.ceil(jumps)
     if k < 1:
         k = 1
 
@@ -224,10 +235,13 @@ def eval_softcap(tau: float, a: float, b: float,
     def df(w: float) -> float:
         if w <= 0.0:
             return 1.0 if k == 1 else 0.0
-        return math.exp((k - 1) * math.log(w) - w - lgam_k)
+        log_density = (k - 1) * math.log(w) - w - lgam_k
+        # a Gamma(k) density never exceeds 1; a larger value is rounding in
+        # the difference of two huge terms, and 0 makes the solver bisect
+        return math.exp(log_density) if log_density <= 0.0 else 0.0
 
     # Wilson-Hilferty start: approximate gamma quantile for shape k.
-    z = _norm_quantile(b)
+    z = float(ndtri(b))
     t = 1.0 - 1.0 / (9.0 * k) + z / (3.0 * math.sqrt(k))
     guess = k * t * t * t if t > 0 else 0.0
     # Bracket: the tail is 0 at w = 0; grow the upper end geometrically from
@@ -244,6 +258,8 @@ def eval_softcap(tau: float, a: float, b: float,
 def eval_log(a: float, b: float, tol: Tolerance = DEFAULT_TOLERANCE) -> float:
     """Level function of log(1+z): the unique shape w with Q(w, a) = b."""
     _check_domain(a, b)
+    if a > _CENTRED:
+        return a
 
     def f(w: float) -> float:
         return regularized_gamma_q(w, a)

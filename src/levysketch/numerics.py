@@ -1,12 +1,10 @@
 """Special functions and bracketed monotone root finding.
 
-Everything in this module is a pure function of its arguments.  The error
-function and its inverse are implemented from scratch (Maclaurin series plus
-a complementary continued fraction, and a rational quantile approximation
-refined by Newton steps) so that no platform special-function library sits
-on this code path.  The regularized incomplete gamma ratios are delegated
-to scipy, which implements the standard Temme/continued-fraction algorithms;
-tests check them against direct quadrature and series summation.
+Everything in this module is a pure function of its arguments.  The special
+functions come from scipy.special: the inverse error function, and the
+regularized incomplete gamma ratios (the standard Temme/continued-fraction
+algorithms); tests check them against direct quadrature, series summation
+and round trips.  Only the bracketed root finder is implemented here.
 
 All computation is 64-bit binary floating point.  Results therefore carry a
 small additive error (a few ulps, amplified modestly by root finding); the
@@ -20,6 +18,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
+from scipy.special import erfinv as _scipy_erfinv
 from scipy.special import gammainc as _scipy_gammainc
 from scipy.special import gammaincc as _scipy_gammaincc
 
@@ -28,8 +27,6 @@ __all__ = [
     "DEFAULT_TOLERANCE",
     "BracketError",
     "NoConvergenceError",
-    "erf",
-    "erfc",
     "inv_erf",
     "regularized_gamma_q",
     "poisson_tail",
@@ -68,139 +65,12 @@ class Tolerance:
 
 DEFAULT_TOLERANCE = Tolerance()
 
-_TWO_OVER_SQRT_PI = 2.0 / math.sqrt(math.pi)
-_SQRT_PI_OVER_TWO = math.sqrt(math.pi) / 2.0
-
-
-def erf(x: float) -> float:
-    """Gauss error function, (2/sqrt(pi)) * integral of exp(-t^2) from 0 to x."""
-    if x < 0.0:
-        return -erf(-x)
-    if x <= 2.0:
-        # Maclaurin series; at x = 2 the largest term is ~2.4 so cancellation
-        # costs at most a few ulps.
-        term = x
-        total = x
-        n = 0
-        xx = x * x
-        while True:
-            n += 1
-            term *= -xx / n
-            contrib = term / (2 * n + 1)
-            total += contrib
-            if abs(contrib) < 1e-18 * abs(total) + 5e-324:
-                return _TWO_OVER_SQRT_PI * total
-    return 1.0 - erfc(x)
-
-
-def erfc(x: float) -> float:
-    """Complementary error function, 1 - erf(x)."""
-    if x < 2.0:
-        return 1.0 - erf(x)
-    if x > 27.0:
-        return 0.0  # below the smallest positive double
-    # Continued fraction sqrt(pi) exp(x^2) erfc(x) = 1/(x+ (1/2)/(x+ 1/(x+ ...)))
-    # evaluated with modified Lentz.
-    tiny = 1e-300
-    f = tiny
-    c = f
-    d = 0.0
-    n = 0
-    while n < 300:
-        n += 1
-        a = 1.0 if n == 1 else (n - 1) / 2.0
-        d = x + a * d
-        if d == 0.0:
-            d = tiny
-        c = x + a / c
-        if c == 0.0:
-            c = tiny
-        d = 1.0 / d
-        delta = c * d
-        f *= delta
-        if abs(delta - 1.0) < 1e-17:
-            break
-    return math.exp(-x * x) * f / math.sqrt(math.pi)
-
-
-# Acklam's rational approximation to the standard normal quantile,
-# relative error below 1.15e-9 everywhere on (0, 1).
-_ACKLAM_A = (-3.969683028665376e+01, 2.209460984245205e+02,
-             -2.759285104469687e+02, 1.383577518672690e+02,
-             -3.066479806614716e+01, 2.506628277459239e+00)
-_ACKLAM_B = (-5.447609879822406e+01, 1.615858368580409e+02,
-             -1.556989798598866e+02, 6.680131188771972e+01,
-             -1.328068155288572e+01)
-_ACKLAM_C = (-7.784894002430293e-03, -3.223964580411365e-01,
-             -2.400758277161838e+00, -2.549732539343734e+00,
-             4.374664141464968e+00, 2.938163982698783e+00)
-_ACKLAM_D = (7.784695709041462e-03, 3.224671290700398e-01,
-             2.445134137142996e+00, 3.754408661907416e+00)
-
-
-def _norm_quantile(p: float) -> float:
-    """Approximate inverse standard normal CDF (used as a starting point)."""
-    a, b, c, d = _ACKLAM_A, _ACKLAM_B, _ACKLAM_C, _ACKLAM_D
-    p_low = 0.02425
-    if p < p_low:
-        q = math.sqrt(-2.0 * math.log(p))
-        return ((((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q
-                 + c[5])
-                / ((((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0))
-    if p > 1.0 - p_low:
-        q = math.sqrt(-2.0 * math.log(1.0 - p))
-        return -((((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q
-                  + c[5])
-                 / ((((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0))
-    q = p - 0.5
-    r = q * q
-    return ((((((a[0] * r + a[1]) * r + a[2]) * r + a[3]) * r + a[4]) * r
-             + a[5]) * q
-            / (((((b[0] * r + b[1]) * r + b[2]) * r + b[3]) * r + b[4]) * r
-               + 1.0))
-
 
 def inv_erf(b: float) -> float:
-    """Inverse error function on (0, 1): the y >= 0 with erf(y) = b.
-
-    A rational starting approximation is polished with Newton steps against
-    the series/continued-fraction erf above, so accuracy is limited only by
-    double precision.
-    """
+    """Inverse error function on (0, 1): the y >= 0 with erf(y) = b."""
     if not (0.0 < b < 1.0):
         raise ValueError(f"inv_erf requires 0 < b < 1, got {b}")
-    # Starting point from Acklam's normal-quantile approximation, written in
-    # terms of b so that probabilities near 1 keep their full precision
-    # ((1+b)/2 would round to 1.0 for b within 2^-52 of 1).
-    a, bb, c, d = _ACKLAM_A, _ACKLAM_B, _ACKLAM_C, _ACKLAM_D
-    if b <= 0.9515:  # central region of the quantile, p = (1+b)/2 <= 0.97575
-        q = b / 2.0
-        r = q * q
-        z = ((((((a[0] * r + a[1]) * r + a[2]) * r + a[3]) * r + a[4]) * r
-              + a[5]) * q
-             / (((((bb[0] * r + bb[1]) * r + bb[2]) * r + bb[3]) * r + bb[4])
-                * r + 1.0))
-    else:
-        q = math.sqrt(-2.0 * math.log((1.0 - b) / 2.0))
-        z = -((((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q
-               + c[5])
-              / ((((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0))
-    y = z / math.sqrt(2.0)
-    if y < 0.0:
-        y = 0.0
-    one_minus_b = 1.0 - b  # exact for b >= 0.5
-    for _ in range(8):
-        # erf(y) - b, written to avoid cancellation when b is close to 1
-        if b > 0.9:
-            resid = erfc(y) - one_minus_b
-            step = -resid * _SQRT_PI_OVER_TWO * math.exp(y * y)
-        else:
-            resid = erf(y) - b
-            step = resid * _SQRT_PI_OVER_TWO * math.exp(y * y)
-        y -= step
-        if abs(step) <= 1e-15 * abs(y) + 1e-300:
-            break
-    return y
+    return float(_scipy_erfinv(b))
 
 
 def regularized_gamma_q(s: float, a: float) -> float:

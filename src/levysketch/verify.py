@@ -21,6 +21,8 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Optional
 
+from scipy.special import erf
+
 from .circuits import EdgeSampler, EdgeSamplerSpec, build_flat_circuit, edge_weight
 from .level import (
     CATALOGUE,
@@ -35,7 +37,7 @@ from .level import (
     weight_grammar,
     weight_value,
 )
-from .numerics import erf, poisson_tail, regularized_gamma_q
+from .numerics import poisson_tail, regularized_gamma_q
 from .oracle import (
     ExactDistribution,
     chi_square_gof,
@@ -218,7 +220,7 @@ def check_level_residuals(seed: bytes, params: VerifyParams) -> list[CheckResult
         worst_log = max(worst_log, abs(regularized_gamma_q(w, a) - b))
         h = eval_fhalf(a, b)
         worst_roundtrip = max(worst_roundtrip,
-                              abs(erf(h / (2.0 * math.sqrt(a))) - b))
+                              abs(float(erf(h / (2.0 * math.sqrt(a)))) - b))
     return [
         CheckResult("level/residual/softcap", worst_softcap <= 1e-9,
                     worst_softcap, 1e-9),

@@ -238,8 +238,11 @@ def test_main_exit_codes(tmp_path, capsys):
     assert main(["sample", str(good), "--seed", "zz"]) == 2
 
 
-def test_main_verify_exit_codes(monkeypatch):
+def test_main_verify_exit_codes(monkeypatch, tmp_path):
     assert main(["verify", "wor", "--quick", "--seed", "beef"]) == 0
+    out = tmp_path / "level.json"
+    assert main(["verify", "level", "--quick", "--seed", "beef", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["pass"] is True
     import levysketch.level as lv
     orig = lv.eval_f0
     monkeypatch.setattr(lv, "eval_f0", lambda a, b: 2.0 * orig(a, b))
@@ -257,3 +260,24 @@ def test_main_edge_sample(tmp_path):
     report = json.loads(out.read_text())
     assert report["graph"] == {"edges": 2, "vertices": 3}
     assert abs(sum(report["frequencies"].values()) - 1.0) < 1e-9
+
+
+@pytest.mark.parametrize("g", ["softcap:1", "log"])
+def test_main_subnormal_delta(tmp_path, g):
+    # 1e-310 makes Y/delta overflow to inf, or come close: that update's
+    # level is inf or astronomically large, so the key wins only when no
+    # other key has mass
+    mixed = tmp_path / "mixed.txt"
+    mixed.write_text("1 1e-310\n2 1.0\n")
+    alone = tmp_path / "alone.txt"
+    alone.write_text("1 1e-310\n")
+    for sketch in ("gsampler", "pareto"):
+        out = tmp_path / "r.json"
+        args = ["--g", g, "--sketch", sketch, "--reps", "50", "--seed", "beef",
+                "--out", str(out)]
+        assert main(["sample", str(mixed), *args]) == 0
+        assert json.loads(out.read_text())["counts"] == {"2": 50}
+        assert main(["sample", str(alone), *args]) == 0
+        report = json.loads(out.read_text())
+        assert report["counts"] == {"1": 50}
+        assert report["value_summary"]["min"] > 1e200

@@ -224,6 +224,25 @@ def test_solver_levels_survive_extreme_arguments():
     assert eval_fhalf(1e300, 0.5) > 0
 
 
+def test_levels_at_infinite_first_argument():
+    # a = Y/delta overflows to inf for subnormal deltas: the level is inf for
+    # every kind whose level grows with a, and f0's ignores a altogether.
+    # Just below overflow the levels are finite and no larger.
+    for g in CATALOGUE:
+        level = LevelFunction(g)
+        for b in (1e-9, 0.3, 0.999):
+            h = level.eval(math.inf, b)
+            if isinstance(g, F0):
+                assert h == eval_f0(1.0, b)
+            else:
+                assert h == math.inf
+            assert math.isfinite(level.eval(1e300, b))
+            assert level.eval(1e300, b) <= h
+    # beyond 2^128 the solver-backed levels equal their centres
+    assert eval_log(1e300, 0.3) == 1e300
+    assert eval_softcap(0.5, 1e300, 0.3) == 2e300
+
+
 def test_weight_values():
     assert weight_value(F0(), 0.0) == 0.0
     assert weight_value(F0(), 3.0) == 1.0

@@ -6,6 +6,8 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from levysketch.level import F0, F1, FHalf, KilledDriftSum, LevelFunction, Log
 from levysketch.oracle import (
@@ -16,14 +18,13 @@ from levysketch.oracle import (
 )
 from levysketch.randomness import FreshSource, OracleHash, derive_seed, parse_seed
 from levysketch.samplers import (
+    FrameError,
     GSampler,
     KMinState,
     KParetoFrontier,
     KParetoSampler,
-    ParetoFrontier,
     ParetoSampler,
     ParetoTuple,
-    ScalarSamplerState,
     Update,
     WorSampler,
     deserialize,
@@ -46,6 +47,20 @@ def test_update_validation():
         s.update(1, 0.0)
 
 
+def test_keys_outside_64_bits_rejected():
+    level = LevelFunction(F1())
+    for bad in (-1, 1 << 64):
+        with pytest.raises(ValueError):
+            Update(bad, 1.0)
+        for s in (GSampler(level, _oracle(0)), ParetoSampler(_oracle(0)),
+                  WorSampler(2, level, _oracle(0)), KParetoSampler(2, _oracle(0))):
+            with pytest.raises(ValueError):
+                s.update(bad, 1.0)
+            assert s.fresh.counter == 0  # rejected before drawing randomness
+            s.update((1 << 64) - 1, 1.0)
+            assert deserialize(s.to_bytes(), level).to_bytes() == s.to_bytes()
+
+
 def test_first_update_always_wins():
     s = GSampler(LevelFunction(Log()), _oracle(1))
     assert s.query() is None
@@ -56,12 +71,15 @@ def test_first_update_always_wins():
 
 
 def test_scalar_state_tie_break():
-    state = ScalarSamplerState()
+    # the scalar sketch's state is the k = 1 k-min core
+    state = KMinState(1)
     state.offer(5, 1.0)
     state.offer(9, 1.0)  # equal value, larger key: keep 5
-    assert state.key_star == 5
+    assert state.ordered() == [(5, 1.0)]
     state.offer(2, 1.0)  # equal value, smaller key: replace
-    assert state.key_star == 2
+    assert state.ordered() == [(2, 1.0)]
+    state.offer(2, 3.0)  # a larger value for the same key changes nothing
+    assert state.ordered() == [(2, 1.0)]
 
 
 def test_even_coin_under_f1():
@@ -147,19 +165,16 @@ def test_gsampler_merge_identity_and_commutativity():
     for key, delta in ((1, 1.0), (2, 2.0)):
         a.update(key, delta)
     fresh_sketch = GSampler(level, oracle)
-    merged = GSampler(level, oracle)
-    merged.state = ScalarSamplerState(a.state.key_star, a.state.h_star)
+    merged = deserialize(a.to_bytes(), level)
     merged.merge_from(fresh_sketch)
     assert merged.query() == a.query()
 
     b = GSampler(level, oracle, FreshSource(oracle.seed, 100))
     for key, delta in ((3, 0.5), (4, 1.5)):
         b.update(key, delta)
-    ab = GSampler(level, oracle)
-    ab.state = ScalarSamplerState(a.state.key_star, a.state.h_star)
+    ab = deserialize(a.to_bytes(), level)
     ab.merge_from(b)
-    ba = GSampler(level, oracle)
-    ba.state = ScalarSamplerState(b.state.key_star, b.state.h_star)
+    ba = deserialize(b.to_bytes(), level)
     ba.merge_from(a)
     assert ab.query() == ba.query()
 
@@ -199,27 +214,28 @@ def test_split_replay_equivalence():
         assert left.to_bytes() == seq.to_bytes()
 
 
-# --- frontier ----------------------------------------------------------------
+# --- frontier: the k = 1 case of the k-frontier core ---------------------------
 
 def test_frontier_dominated_insert_is_noop():
-    f = ParetoFrontier()
-    assert f.insert(ParetoTuple(1.0, 0.5, 1))
-    assert not f.insert(ParetoTuple(2.0, 0.6, 2))
-    assert len(f) == 1
+    f = KParetoFrontier(1)
+    f.insert(ParetoTuple(1.0, 0.5, 1))
+    f.insert(ParetoTuple(2.0, 0.6, 2))
+    assert f.tuples() == (ParetoTuple(1.0, 0.5, 1),)
 
 
 def test_frontier_dominating_insert_sweeps():
-    f = ParetoFrontier()
+    f = KParetoFrontier(1)
     f.insert(ParetoTuple(1.0, 0.5, 1))
     f.insert(ParetoTuple(2.0, 0.3, 2))
     f.insert(ParetoTuple(3.0, 0.1, 3))
-    assert f.insert(ParetoTuple(0.5, 0.05, 4))
+    assert len(f) == 3
+    f.insert(ParetoTuple(0.5, 0.05, 4))
     assert f.tuples() == (ParetoTuple(0.5, 0.05, 4),)
 
 
 def test_frontier_invariant_random():
     rnd = random.Random(3)
-    f = ParetoFrontier()
+    f = KParetoFrontier(1)
     points = []
     for i in range(500):
         t = ParetoTuple(rnd.uniform(0, 1), rnd.uniform(0, 1), i)
@@ -237,7 +253,7 @@ def test_frontier_invariant_random():
 
 def test_frontier_same_key_same_hash():
     # updates to one key share b; only the smallest a survives
-    f = ParetoFrontier()
+    f = KParetoFrontier(1)
     f.insert(ParetoTuple(2.0, 0.4, 9))
     f.insert(ParetoTuple(1.0, 0.4, 9))
     f.insert(ParetoTuple(3.0, 0.4, 9))
@@ -250,18 +266,19 @@ def test_frontier_merge_matches_sequential():
         points = [ParetoTuple(rnd.uniform(0, 2), rnd.uniform(0, 1), i)
                   for i in range(rnd.randint(1, 60))]
         cut = rnd.randint(0, len(points))
-        whole = ParetoFrontier()
-        f1 = ParetoFrontier()
-        f2 = ParetoFrontier()
+        whole = KParetoFrontier(1)
+        f1 = KParetoFrontier(1)
+        f2 = KParetoFrontier(1)
         for p in points:
             whole.insert(p)
         for p in points[:cut]:
             f1.insert(p)
         for p in points[cut:]:
             f2.insert(p)
-        merged = ParetoFrontier.merged(f1, f2)
-        assert merged.tuples() == whole.tuples()
-        assert len(merged) <= len(f1) + len(f2)
+        sizes = len(f1) + len(f2)
+        f1.merge_from(f2)
+        assert f1.tuples() == whole.tuples()
+        assert len(f1) <= sizes
 
 
 def test_frontier_expected_size_harmonic():
@@ -563,3 +580,92 @@ def test_deserialize_errors():
     bad_version = good[:4] + b"\x63\x00" + good[6:]
     with pytest.raises(ValueError):
         deserialize(bad_version, level)
+
+
+def test_frame_truncation_and_trailing_bytes_rejected():
+    level = LevelFunction(FHalf())
+    oracle = _oracle(93)
+    sketches = [GSampler(level, oracle), ParetoSampler(oracle),
+                WorSampler(3, level, oracle), KParetoSampler(3, oracle)]
+    for key in range(6):
+        for s in sketches:
+            s.update(key, 1.0 + key)
+    for s in sketches:
+        data = s.to_bytes()
+        for cut in range(len(data)):
+            with pytest.raises(FrameError):
+                deserialize(data[:cut], level)
+        with pytest.raises(FrameError):
+            deserialize(data + b"\x00", level)
+
+
+def test_frame_tag_and_count_validated():
+    level = LevelFunction(F1())
+    oracle = _oracle(94)
+    wor = WorSampler(2, level, oracle)
+    for key in (1, 2, 3):
+        wor.update(key, 1.0)
+    data = wor.to_bytes()
+    with pytest.raises(FrameError):
+        deserialize(data[:6] + b"\x09" + data[7:], level)  # unknown tag
+    head = 4 + 2 + 1 + 16
+    with pytest.raises(FrameError):  # count says 1 entry, the frame holds 2
+        deserialize(data[:head + 4] + b"\x01\x00\x00\x00" + data[head + 8:], level)
+    with pytest.raises(FrameError):  # two entries cannot fit k = 1
+        deserialize(data[:head] + b"\x01\x00\x00\x00" + data[head + 4:], level)
+    with pytest.raises(FrameError):  # a gsampler holds at most one entry
+        deserialize(data[:6] + b"\x01" + data[7:head] + b"\x02" + data[head + 8:], level)
+
+
+def test_pareto_query_tie_break_smaller_key():
+    # coincident points survive side by side; the query prefers the smaller key
+    s = ParetoSampler(_oracle(96))
+    s.frontier.insert(ParetoTuple(1.0, 0.5, 7))
+    s.frontier.insert(ParetoTuple(1.0, 0.5, 3))
+    assert s.query(LevelFunction(F1())) == (3, 1.0)
+
+
+def _skyband_by_recount(points, k):
+    """Each key's smallest-a point, kept if fewer than k of those points
+    dominate it, with its dominator count; every pair recounted."""
+    best = {}
+    for t in points:
+        if t.key not in best or t.a < best[t.key].a:
+            best[t.key] = t
+    pool = list(best.values())
+    kept = []
+    for t in pool:
+        count = sum(p.a <= t.a and p.b <= t.b and (p.a, p.b) != (t.a, t.b)
+                    for p in pool)
+        if count < k:
+            kept.append((t, count))
+    return sorted(kept)
+
+
+_COORD_GRID = (0.25, 0.5, 1.0, 2.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(k=st.sampled_from((1, 2, 3, 8)),
+       b_of_key=st.lists(st.sampled_from(_COORD_GRID) | st.floats(0.001, 0.999),
+                         min_size=10, max_size=10),
+       stream=st.lists(st.tuples(st.integers(0, 9),
+                                 st.sampled_from(_COORD_GRID) | st.floats(0.01, 10.0)),
+                       max_size=60),
+       cut=st.integers(0, 60))
+def test_kfrontier_counts_match_recount(k, b_of_key, stream, cut):
+    points = [ParetoTuple(a, b_of_key[key], key) for key, a in stream]
+    f = KParetoFrontier(k)
+    for t in points:
+        f.insert(t)
+    expected = _skyband_by_recount(points, k)
+    assert list(f.tuples()) == [t for t, _ in expected]
+    assert f._counts == [c for _, c in expected]
+
+    left, right = KParetoFrontier(k), KParetoFrontier(k)
+    for t in points[:cut]:
+        left.insert(t)
+    for t in points[cut:]:
+        right.insert(t)
+    left.merge_from(right)
+    assert left.tuples() == f.tuples()
