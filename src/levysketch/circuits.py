@@ -105,7 +105,10 @@ class GGate:
 
 @dataclass(frozen=True)
 class OutputGate:
-    """Keeps the minimum arriving value and its originating identifier."""
+    """Keeps the minimum arriving value and its originating identifier; an
+    equal value goes to the smaller identifier, so the identifiers reaching
+    one output gate must be mutually orderable (keys, gate-id strings and
+    edge tuples are)."""
 
 
 Gate = Union[InputGate, ScalarGate, GGate, OutputGate]
@@ -258,8 +261,12 @@ class Circuit:
             if isinstance(gate, OutputGate):
                 ident, h_star = self._out_state[gate_id]
                 for value, src in arrived:
-                    if value < h_star:
-                        ident, h_star = self.labels.get(src, src), value
+                    label = self.labels.get(src, src)
+                    # the smaller (value, identifier) pair, as the samplers
+                    # keep it; the first arrival always, even at inf
+                    if ident is None or value < h_star or (
+                            value == h_star and label < ident):
+                        ident, h_star = label, value
                 self._out_state[gate_id] = (ident, h_star)
                 continue
             if isinstance(gate, ScalarGate):

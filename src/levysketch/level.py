@@ -5,29 +5,35 @@ drawn from the class realizable as
 
     G(z) = c * 1{z > 0}  +  g0 * z  +  sum_i  w_i * (1 - exp(-r_i * z)),
 
-i.e. a killing part, a drift part, and finitely many soft-cap atoms.  Each
-such G has a *level function* l_G(a, b) on (0, inf) x (0, 1) with two
-properties this library is built on:
+i.e. a killing part, a drift part, and finitely many soft-cap atoms, plus
+the square-root and log(1 + z) weights.  Each such G has a *level function*
+l_G(a, b) on (0, inf) x (0, 1) with two properties this library is built on:
 
 * 2D-monotonicity: raising either argument never lowers the value.
 * Transformation: if A ~ Exp(lam) and B ~ Uniform(0, 1) independently, then
   l_G(A, B) ~ Exp(G(lam)).
 
-The catalogue variants have direct evaluations:
+A weight is stored as the sum it is: a tuple of terms (kind, param, coeff),
+each a kind from the table below times a positive coefficient.  The kinds
+have direct evaluations:
 
-* F0 (killing only):       l(a, b) = -log(1 - b)
-* F1 (drift only):         l(a, b) = a
-* FHalf (square root):     l(a, b) = 2 sqrt(a) * inv_erf(b)
-* SoftCap(tau):            l(a, b) solves  P(Poisson(w) >= ceil(a/tau)) = b
-* Log (log(1+z)):          l(a, b) solves  Q(w, a) = b  in the shape w
-* Scaled(alpha, inner):    l(a, b) = l_inner(a, b) / alpha
+* f0 (killing, 1{z > 0}):        l(a, b) = -log(1 - b)
+* f1 (drift, z):                 l(a, b) = a
+* fhalf (sqrt(z)):               l(a, b) = 2 sqrt(a) * inv_erf(b)
+* softcap (1 - exp(-tau * z)):   l(a, b) solves  P(Poisson(w) >= ceil(a/tau)) = b
+* log (log(1 + z)):              l(a, b) solves  Q(w, a) = b  in the shape w
 
-A general killing/drift/atoms combination has no single closed form; it is
-evaluated as the minimum of its term-level evaluations, one (a, b) pair per
+and a coefficient divides the level: l_{alpha G} = l_G / alpha.  The
+constructors F0, F1, FHalf, SoftCap, Log, Scaled and KilledDriftSum return
+these term tuples, so equal weights compare equal however they were built:
+Scaled(2, Scaled(3, Log())) == Scaled(6, Log()), KilledDriftSum(c=1) == F0().
+
+A weight of one term evaluates on a single (a, b) pair.  A weight of several
+terms is evaluated as the minimum of its term levels, one (a, b) pair per
 term, each term consuming its own fresh exponential and its own salted hash
 of the key.  That reproduces the summation rule for exponential rates
 (min of independent Exp variables sums the rates), so the transformation
-property holds for the composite as a whole.
+property holds for the sum as a whole.
 
 Direct evaluation everywhere; no precomputed lattice tables.
 """
@@ -36,13 +42,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Union
+from typing import Callable, NamedTuple
 
 from scipy.special import ndtri
 
 from .numerics import (
-    DEFAULT_TOLERANCE,
-    Tolerance,
     inv_erf,
     poisson_tail,
     regularized_gamma_q,
@@ -57,6 +61,7 @@ __all__ = [
     "Log",
     "Scaled",
     "KilledDriftSum",
+    "Term",
     "WeightFunction",
     "LevelFunction",
     "eval_f0",
@@ -64,8 +69,6 @@ __all__ = [
     "eval_fhalf",
     "eval_softcap",
     "eval_log",
-    "eval_scaled",
-    "eval_composite",
     "weight_value",
     "parse_weight",
     "weight_grammar",
@@ -73,71 +76,102 @@ __all__ = [
 ]
 
 
+class Term(NamedTuple):
+    """One summand of a weight function: coeff * G_kind, G_kind set by param."""
+
+    kind: str
+    param: float
+    coeff: float
+
+
+class _Kind(NamedTuple):
+    """One row of the term table."""
+
+    value: Callable[[float, float], float]  # (param, z) -> G(z)
+    level: Callable[[float, float, float], float]  # (param, a, b) -> l(a, b)
+    param_name: str = ""  # set when the grammar spells "<kind>:<param>"
+
+
+# Each row reaches eval_<kind> through the module globals at call time, so a
+# rebinding of those names on this module (a tracer, a test) takes effect.
+_KINDS: dict[str, _Kind] = {
+    "f0": _Kind(lambda p, z: 1.0 if z > 0 else 0.0, lambda p, a, b: eval_f0(a, b)),
+    "f1": _Kind(lambda p, z: z, lambda p, a, b: eval_f1(a, b)),
+    "fhalf": _Kind(lambda p, z: math.sqrt(z), lambda p, a, b: eval_fhalf(a, b)),
+    "softcap": _Kind(lambda p, z: -math.expm1(-p * z),
+                     lambda p, a, b: eval_softcap(p, a, b), "tau"),
+    "log": _Kind(lambda p, z: math.log1p(z), lambda p, a, b: eval_log(a, b)),
+}
+
+
 @dataclass(frozen=True)
-class F0:
+class WeightFunction:
+    """G = sum of its terms, kept in the order their randomness is drawn."""
+
+    terms: tuple[Term, ...]
+
+    def __post_init__(self) -> None:
+        if not self.terms:
+            raise ValueError("weight function is identically zero")
+        for kind, _, coeff in self.terms:
+            if kind not in _KINDS:
+                raise ValueError(f"unknown term kind {kind!r}")
+            if not (coeff > 0):
+                raise ValueError(f"term coefficient must be positive, got {coeff}")
+
+
+def F0() -> WeightFunction:
     """G(z) = 1{z > 0}: distinct-element weight (unit killing rate)."""
+    return WeightFunction((Term("f0", 0.0, 1.0),))
 
 
-@dataclass(frozen=True)
-class F1:
+def F1() -> WeightFunction:
     """G(z) = z: plain frequency weight (unit drift)."""
+    return WeightFunction((Term("f1", 0.0, 1.0),))
 
 
-@dataclass(frozen=True)
-class FHalf:
+def FHalf() -> WeightFunction:
     """G(z) = sqrt(z): square-root moment weight."""
+    return WeightFunction((Term("fhalf", 0.0, 1.0),))
 
 
-@dataclass(frozen=True)
-class SoftCap:
+def SoftCap(tau: float) -> WeightFunction:
     """G(z) = 1 - exp(-tau * z): smooth surrogate for min(tau*z, 1) caps."""
-
-    tau: float
-
-    def __post_init__(self) -> None:
-        if not (self.tau > 0):
-            raise ValueError(f"tau must be positive, got {self.tau}")
+    if not (tau > 0):
+        raise ValueError(f"tau must be positive, got {tau}")
+    return WeightFunction((Term("softcap", float(tau), 1.0),))
 
 
-@dataclass(frozen=True)
-class Log:
+def Log() -> WeightFunction:
     """G(z) = log(1 + z)."""
+    return WeightFunction((Term("log", 0.0, 1.0),))
 
 
-@dataclass(frozen=True)
-class Scaled:
+def Scaled(alpha: float, inner: WeightFunction) -> WeightFunction:
     """G = alpha * inner for a positive scalar alpha."""
-
-    alpha: float
-    inner: "WeightFunction"
-
-    def __post_init__(self) -> None:
-        if not (self.alpha > 0):
-            raise ValueError(f"alpha must be positive, got {self.alpha}")
+    if not (alpha > 0):
+        raise ValueError(f"alpha must be positive, got {alpha}")
+    return WeightFunction(tuple(Term(kind, param, alpha * coeff)
+                                for kind, param, coeff in inner.terms))
 
 
-@dataclass(frozen=True)
-class KilledDriftSum:
+def KilledDriftSum(c: float = 0.0, g0: float = 0.0,
+                   atoms: tuple[tuple[float, float], ...] = ()) -> WeightFunction:
     """G(z) = c*1{z>0} + g0*z + sum_i w_i*(1 - exp(-r_i*z)).
 
-    atoms is a finite tuple of (weight, rate) pairs, both positive.
+    atoms is a finite tuple of (weight, rate) pairs, both positive.  The
+    terms are the killing term, the drift term, then the atoms in order.
     """
+    if c < 0 or g0 < 0:
+        raise ValueError("killing rate and drift must be non-negative")
+    for w, r in atoms:
+        if not (w > 0 and r > 0):
+            raise ValueError(f"atom weight and rate must be positive, got ({w}, {r})")
+    terms = [Term(kind, 0.0, float(coeff))
+             for kind, coeff in (("f0", c), ("f1", g0)) if coeff > 0]
+    terms += [Term("softcap", float(r), float(w)) for w, r in atoms]
+    return WeightFunction(tuple(terms))
 
-    c: float = 0.0
-    g0: float = 0.0
-    atoms: tuple[tuple[float, float], ...] = ()
-
-    def __post_init__(self) -> None:
-        if self.c < 0 or self.g0 < 0:
-            raise ValueError("killing rate and drift must be non-negative")
-        for w, r in self.atoms:
-            if not (w > 0 and r > 0):
-                raise ValueError(f"atom weight and rate must be positive, got ({w}, {r})")
-        if self.c == 0 and self.g0 == 0 and not self.atoms:
-            raise ValueError("weight function is identically zero")
-
-
-WeightFunction = Union[F0, F1, FHalf, SoftCap, Log, Scaled, KilledDriftSum]
 
 CATALOGUE: tuple[WeightFunction, ...] = (
     F0(), F1(), FHalf(), SoftCap(0.5), SoftCap(1.0), SoftCap(2.0), Log(),
@@ -145,27 +179,13 @@ CATALOGUE: tuple[WeightFunction, ...] = (
 
 
 def weight_value(g: WeightFunction, z: float) -> float:
-    """Evaluate G(z) in closed form."""
+    """Evaluate G(z) in closed form: the sum of its terms' values."""
     if z < 0:
         raise ValueError(f"mass must be non-negative, got {z}")
-    if isinstance(g, F0):
-        return 1.0 if z > 0 else 0.0
-    if isinstance(g, F1):
-        return z
-    if isinstance(g, FHalf):
-        return math.sqrt(z)
-    if isinstance(g, SoftCap):
-        return -math.expm1(-g.tau * z)
-    if isinstance(g, Log):
-        return math.log1p(z)
-    if isinstance(g, Scaled):
-        return g.alpha * weight_value(g.inner, z)
-    if isinstance(g, KilledDriftSum):
-        total = (g.c if z > 0 else 0.0) + g.g0 * z
-        for w, r in g.atoms:
-            total += w * -math.expm1(-r * z)
-        return total
-    raise TypeError(f"not a weight function: {g!r}")
+    total = 0.0
+    for kind, param, coeff in g.terms:
+        total += coeff * _KINDS[kind].value(param, z)
+    return total
 
 
 def _check_domain(a: float, b: float) -> None:
@@ -208,8 +228,7 @@ def eval_fhalf(a: float, b: float) -> float:
 _CENTRED = 2.0 ** 128
 
 
-def eval_softcap(tau: float, a: float, b: float,
-                 tol: Tolerance = DEFAULT_TOLERANCE) -> float:
+def eval_softcap(tau: float, a: float, b: float) -> float:
     """Level function of 1 - exp(-tau*z): the unique w with
     P(Poisson(w) >= ceil(a/tau)) = b.
 
@@ -252,10 +271,10 @@ def eval_softcap(tau: float, a: float, b: float,
             break
         hi *= 2.0
     x0 = guess if 0.0 < guess < hi else None
-    return solve_monotone_increasing(f, b, (0.0, hi), tol, df=df, x0=x0)
+    return solve_monotone_increasing(f, b, (0.0, hi), df=df, x0=x0)
 
 
-def eval_log(a: float, b: float, tol: Tolerance = DEFAULT_TOLERANCE) -> float:
+def eval_log(a: float, b: float) -> float:
     """Level function of log(1+z): the unique shape w with Q(w, a) = b."""
     _check_domain(a, b)
     if a > _CENTRED:
@@ -277,60 +296,23 @@ def eval_log(a: float, b: float, tol: Tolerance = DEFAULT_TOLERANCE) -> float:
         if f(hi) >= b:
             break
         hi *= 2.0
-    return solve_monotone_increasing(f, b, (lo, hi), tol)
-
-
-def eval_scaled(alpha: float, t: float) -> float:
-    """Rescale an inner level value to realize alpha * G: t / alpha."""
-    if not (alpha > 0):
-        raise ValueError(f"alpha must be positive, got {alpha}")
-    return t / alpha
-
-
-# A composite weight function is flattened into unit terms, each a catalogue
-# evaluation rescaled by a positive coefficient.
-_KILL, _DRIFT, _ATOM, _SQRT, _LOG = "kill", "drift", "atom", "sqrt", "log"
-
-
-def _flatten(g: WeightFunction, scale: float) -> list[tuple[str, float, float]]:
-    """(kind, parameter, coefficient) triples with min-combination semantics."""
-    if isinstance(g, F0):
-        return [(_KILL, 0.0, scale)]
-    if isinstance(g, F1):
-        return [(_DRIFT, 0.0, scale)]
-    if isinstance(g, FHalf):
-        return [(_SQRT, 0.0, scale)]
-    if isinstance(g, SoftCap):
-        return [(_ATOM, g.tau, scale)]
-    if isinstance(g, Log):
-        return [(_LOG, 0.0, scale)]
-    if isinstance(g, Scaled):
-        return _flatten(g.inner, scale * g.alpha)
-    if isinstance(g, KilledDriftSum):
-        terms = []
-        if g.c > 0:
-            terms.append((_KILL, 0.0, scale * g.c))
-        if g.g0 > 0:
-            terms.append((_DRIFT, 0.0, scale * g.g0))
-        for w, r in g.atoms:
-            terms.append((_ATOM, r, scale * w))
-        return terms
-    raise TypeError(f"not a weight function: {g!r}")
+    return solve_monotone_increasing(f, b, (lo, hi))
 
 
 class LevelFunction:
     """Evaluator for the level function of a weight function.
 
-    Weight functions with a single term (every catalogue variant, and any
-    scaling of one) evaluate on a single (a, b) pair.  Killing/drift/atoms
-    combinations evaluate on one pair per term; the pairs must come from
-    independent sources (fresh exponentials, per-term salted hashes).
+    Each term evaluates on its own (a, b) pair, divided by its coefficient,
+    and the level is the minimum; the pairs must come from independent
+    sources (fresh exponentials, per-term salted hashes).  Single-term
+    weights (every catalogue variant, and any scaling of one) also evaluate
+    on a lone pair through eval.
     """
 
-    def __init__(self, g: WeightFunction, tol: Tolerance = DEFAULT_TOLERANCE):
+    def __init__(self, g: WeightFunction):
         self.weight = g
-        self.tol = tol
-        self._terms = _flatten(g, 1.0)
+        self._terms = [(_KINDS[kind].level, param, coeff)
+                       for kind, param, coeff in g.terms]
 
     @property
     def term_count(self) -> int:
@@ -344,51 +326,24 @@ class LevelFunction:
     def __repr__(self) -> str:
         return f"LevelFunction({self.weight!r})"
 
-    def _eval_term(self, term: tuple[str, float, float], a: float, b: float) -> float:
-        kind, param, coeff = term
-        if kind == _KILL:
-            t = eval_f0(a, b)
-        elif kind == _DRIFT:
-            t = eval_f1(a, b)
-        elif kind == _SQRT:
-            t = eval_fhalf(a, b)
-        elif kind == _ATOM:
-            t = eval_softcap(param, a, b, self.tol)
-        else:
-            t = eval_log(a, b, self.tol)
-        return eval_scaled(coeff, t) if coeff != 1.0 else t
-
     def eval(self, a: float, b: float) -> float:
         """Single-pair evaluation; only valid for single-term weights."""
         if len(self._terms) != 1:
-            raise ValueError(
-                f"{self.weight!r} has {len(self._terms)} terms; "
-                "use eval_terms with one (a, b) pair per term"
-            )
-        return self._eval_term(self._terms[0], a, b)
+            raise ValueError(f"{self.weight!r} has {len(self._terms)} terms; "
+                             "use eval_terms with one (a, b) pair per term")
+        level, param, coeff = self._terms[0]
+        return level(param, a, b) / coeff
 
     def eval_terms(self, pairs: list[tuple[float, float]]) -> float:
         """Minimum over per-term evaluations, one (a, b) pair per term."""
         if len(pairs) != len(self._terms):
-            raise ValueError(
-                f"expected {len(self._terms)} (a, b) pairs, got {len(pairs)}"
-            )
-        return min(
-            self._eval_term(term, a, b) for term, (a, b) in zip(self._terms, pairs)
-        )
-
-    def value(self, z: float) -> float:
-        """The weight G(z) itself."""
-        return weight_value(self.weight, z)
-
-
-def eval_composite(g: KilledDriftSum, a_parts: list[float],
-                   b_parts: list[float]) -> float:
-    """Level evaluation of a killing/drift/atoms combination on per-term
-    (a, b) pairs, ordered killing term, drift term, then atoms in order."""
-    if len(a_parts) != len(b_parts):
-        raise ValueError("a_parts and b_parts must have equal length")
-    return LevelFunction(g).eval_terms(list(zip(a_parts, b_parts)))
+            raise ValueError(f"expected {len(self._terms)} (a, b) pairs, got {len(pairs)}")
+        best = math.inf  # a loop: min() over a generator doubles a 1-term cost
+        for (level, param, coeff), (a, b) in zip(self._terms, pairs):
+            t = level(param, a, b) / coeff
+            if t < best:
+                best = t
+        return best
 
 
 # --- the compact CLI grammar -------------------------------------------------
@@ -397,22 +352,23 @@ def parse_weight(text: str) -> WeightFunction:
     """Parse the compact grammar: f0 | f1 | fhalf | log | softcap:<tau> |
     scale:<alpha>:<inner> | sum:c=<c>,g0=<g0>,atoms=<w>x<r>;<w>x<r>;..."""
     text = text.strip()
-    if text == "f0":
-        return F0()
-    if text == "f1":
-        return F1()
-    if text == "fhalf":
-        return FHalf()
-    if text == "log":
-        return Log()
-    if text.startswith("softcap:"):
-        return SoftCap(_parse_positive(text[len("softcap:"):], "tau"))
-    if text.startswith("scale:"):
-        rest = text[len("scale:"):]
-        alpha_text, sep, inner_text = rest.partition(":")
+    # a chain of scales multiplies out outermost first
+    alpha = 1.0
+    while text.startswith("scale:"):
+        alpha_text, sep, inner_text = text[len("scale:"):].partition(":")
         if not sep:
             raise ValueError(f"scale needs an inner weight function: {text!r}")
-        return Scaled(_parse_positive(alpha_text, "alpha"), parse_weight(inner_text))
+        alpha *= _parse_number(alpha_text, "alpha")
+        text = inner_text.strip()
+    return Scaled(alpha, _parse_unscaled(text))
+
+
+def _parse_unscaled(text: str) -> WeightFunction:
+    kind, sep, param_text = text.partition(":")
+    row = _KINDS.get(kind)
+    if row is not None and bool(sep) == bool(row.param_name):
+        param = _parse_number(param_text, row.param_name) if sep else 0.0
+        return WeightFunction((Term(kind, param, 1.0),))
     if text.startswith("sum:"):
         fields = {}
         for part in text[len("sum:"):].split(","):
@@ -429,52 +385,55 @@ def parse_weight(text: str) -> WeightFunction:
                 w_text, sep, r_text = atom_text.partition("x")
                 if not sep:
                     raise ValueError(f"malformed atom {atom_text!r} in {text!r}")
-                atoms.append((_parse_positive(w_text, "atom weight"),
-                              _parse_positive(r_text, "atom rate")))
+                atoms.append((_parse_number(w_text, "atom weight"),
+                              _parse_number(r_text, "atom rate")))
         return KilledDriftSum(
-            c=_parse_nonnegative(fields["c"], "c"),
-            g0=_parse_nonnegative(fields["g0"], "g0"),
+            c=_parse_number(fields["c"], "c", positive=False),
+            g0=_parse_number(fields["g0"], "g0", positive=False),
             atoms=tuple(atoms),
         )
     raise ValueError(f"unrecognized weight function grammar: {text!r}")
 
 
 def weight_grammar(g: WeightFunction) -> str:
-    """Inverse of parse_weight, for report output."""
-    if isinstance(g, F0):
-        return "f0"
-    if isinstance(g, F1):
-        return "f1"
-    if isinstance(g, FHalf):
-        return "fhalf"
-    if isinstance(g, Log):
-        return "log"
-    if isinstance(g, SoftCap):
-        return f"softcap:{g.tau:g}"
-    if isinstance(g, Scaled):
-        return f"scale:{g.alpha:g}:{weight_grammar(g.inner)}"
-    if isinstance(g, KilledDriftSum):
-        atoms = ";".join(f"{w:g}x{r:g}" for w, r in g.atoms)
-        return f"sum:c={g.c:g},g0={g.g0:g},atoms={atoms}"
-    raise TypeError(f"not a weight function: {g!r}")
+    """The grammar of g's normalised form, which parse_weight reads back as g.
 
-
-def _parse_positive(text: str, name: str) -> float:
-    value = _parse_float(text, name)
-    if not (value > 0):
-        raise ValueError(f"{name} must be positive, got {text!r}")
-    return value
-
-
-def _parse_nonnegative(text: str, name: str) -> float:
-    value = _parse_float(text, name)
-    if value < 0:
-        raise ValueError(f"{name} must be non-negative, got {text!r}")
-    return value
-
-
-def _parse_float(text: str, name: str) -> float:
+    One term prints as its kind, scaled when its coefficient is not 1; more
+    terms print as a sum, which spells a killing term, a drift term and
+    soft-cap atoms in that order.  ValueError for any other weight.
+    """
+    if len(g.terms) == 1:
+        kind, param, coeff = g.terms[0]
+        text = f"{kind}:{_num(param)}" if _KINDS[kind].param_name else kind
+        if coeff != 1.0:
+            text = f"scale:{_num(coeff)}:{text}"
+    else:
+        c = sum(coeff for kind, _, coeff in g.terms if kind == "f0")
+        g0 = sum(coeff for kind, _, coeff in g.terms if kind == "f1")
+        atoms = ";".join(f"{_num(coeff)}x{_num(param)}"
+                         for kind, param, coeff in g.terms if kind == "softcap")
+        text = f"sum:c={_num(c)},g0={_num(g0)},atoms={atoms}"
     try:
-        return float(text)
+        spelled = parse_weight(text)
+    except ValueError:
+        spelled = None
+    if spelled != g:
+        raise ValueError(f"the weight grammar cannot spell {g!r}")
+    return text
+
+
+def _num(x: float) -> str:
+    """x in %g form where that reads back as x, else in full."""
+    text = f"{x:g}"
+    return text if float(text) == x else repr(float(x))
+
+
+def _parse_number(text: str, name: str, positive: bool = True) -> float:
+    try:
+        value = float(text)
     except ValueError:
         raise ValueError(f"{name} is not a number: {text!r}") from None
+    if not (value > 0 if positive else value >= 0):
+        sign = "positive" if positive else "non-negative"
+        raise ValueError(f"{name} must be {sign}, got {text!r}")
+    return value

@@ -248,20 +248,17 @@ class KParetoFrontier:
 def _level_draw(sketch, key: int, delta: float) -> float:
     """One update's candidate value t = l_G(Y/delta, H(key)).
 
-    Composite weight functions draw one fresh exponential and one salted
-    hash per term (salts base, base+1, ...), then take the term minimum.
+    Each term of the weight function draws its own fresh exponential and its
+    own hash of the key under salt base + j (the sketch's oracle itself for
+    j = 0); the candidate is the term minimum.
     """
     _check_update(key, delta)
     level, oracle, rng = sketch.level, sketch.oracle, sketch.fresh
-    if level.single_hash:
-        y = fresh_exp(rng)
-        return level.eval(y / delta, hash_unit(oracle, key))
     pairs = []
-    base_salt = oracle.salt
     for j in range(level.term_count):
         y = fresh_exp(rng)
-        b = hash_unit(oracle.with_salt(base_salt + j), key)
-        pairs.append((y / delta, b))
+        salted = oracle.with_salt(oracle.salt + j) if j else oracle
+        pairs.append((y / delta, hash_unit(salted, key)))
     return level.eval_terms(pairs)
 
 
@@ -457,6 +454,11 @@ def _frame(tag: int, seed: bytes, header: tuple, entries) -> bytes:
 def deserialize(data: bytes, level: Optional[LevelFunction] = None):
     """Rebuild a sketch from its binary frame; FrameError if malformed.
 
+    Malformed includes entries outside the sketch's domain (a NaN, a
+    negative value, a point off (0, inf] x (0, 1)) and entries that do not
+    rebuild to the declared count (a repeated key, a point the sketch would
+    not keep).  inf is legal: subnormal deltas produce it.
+
     Scalar and WOR sketches need their weight function supplied (the frame
     stores state, not configuration).  The fresh-randomness counter restarts
     at zero; continuing to update a deserialized sketch requires positioning
@@ -493,10 +495,18 @@ def deserialize(data: bytes, level: Optional[LevelFunction] = None):
             raise FrameError(f"frame declares {count} entries for k = {k}")
         s = GSampler(level, oracle) if tag == _TAG_GSAMPLER else WorSampler(k, level, oracle)
         for h, key in entries:
+            if not (h >= 0):
+                raise FrameError(f"entry value {h} is not in [0, inf]")
             s.state.offer(key, h)
-        return s
-    s = ParetoSampler(oracle) if tag == _TAG_PARETO else KParetoSampler(k, oracle)
-    for a, b, key in entries:
-        s.frontier.insert(ParetoTuple(a, b, key))
-    s.max_size = len(s.frontier)
+        kept = len(s.state)
+    else:
+        s = ParetoSampler(oracle) if tag == _TAG_PARETO else KParetoSampler(k, oracle)
+        for a, b, key in entries:
+            if not (a > 0 and 0.0 < b < 1.0):
+                raise FrameError(f"point ({a}, {b}) is not in (0, inf] x (0, 1)")
+            s.frontier.insert(ParetoTuple(a, b, key))
+        s.max_size = kept = len(s.frontier)
+    if kept != count:
+        raise FrameError(f"frame declares {count} entries but rebuilds to {kept}: "
+                         "a repeated key, or a point the sketch does not keep")
     return s

@@ -142,17 +142,10 @@ def _transform_samples(level: LevelFunction, lam: float, seed: bytes,
     """n draws of l_G(Y, U) with Y ~ Exp(lam), U ~ Uniform(0, 1)."""
     fs = FreshSource(seed)
     out = []
-    if level.single_hash:
-        for _ in range(n):
-            y = fresh_exp(fs) / lam
-            u = fs.next_uniform()
-            out.append(level.eval(y, u))
-    else:
-        terms = level.term_count
-        for _ in range(n):
-            pairs = [(fresh_exp(fs) / lam, fs.next_uniform())
-                     for _ in range(terms)]
-            out.append(level.eval_terms(pairs))
+    for _ in range(n):
+        pairs = [(fresh_exp(fs) / lam, fs.next_uniform())
+                 for _ in range(level.term_count)]
+        out.append(level.eval_terms(pairs))
     return out
 
 

@@ -144,6 +144,27 @@ def test_flat_circuit_matches_gsampler_seed_for_seed():
         assert circuit.output("out") == scalar.query()
 
 
+def test_flat_circuit_ties_at_infinity_match_gsampler():
+    # 1e-310 deltas put every candidate at inf: the first arrival is kept,
+    # then the smaller key takes the tie, as in the sampler
+    oracle = _oracle(2000)
+    circuit = build_flat_circuit({k: FHALF_LEVEL for k in (1, 0)})
+    fresh = FreshSource(oracle.seed)
+    scalar = GSampler(FHALF_LEVEL, oracle)
+    for key in (1, 0):
+        circuit.update(("in", key), 1e-310, key, fresh, oracle)
+        scalar.update(key, 1e-310)
+    assert scalar.query() == (0, math.inf)
+    assert circuit.output("out") == scalar.query()
+
+
+def test_edge_sampler_reports_an_edge_after_subnormal_deltas():
+    s = EdgeSampler(EdgeSamplerSpec((1, 2, 3), ((1, 2), (2, 3))), _oracle(2001))
+    s.update(2, 1e-310)
+    edge, h = s.query()
+    assert edge in ((1, 2), (2, 3))
+
+
 def test_heterogeneous_flat_circuit():
     # frequency weight on key 1 (mass 3), presence weight on key 2 (mass 5):
     # P(key 1) = 3 / (3 + 1)

@@ -2,8 +2,11 @@
 and the exponential transformation law."""
 
 import math
+from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import erf as scipy_erf
 from scipy.special import erfinv as scipy_erfinv
 
@@ -17,17 +20,18 @@ from levysketch.level import (
     Log,
     Scaled,
     SoftCap,
-    eval_composite,
+    Term,
+    WeightFunction,
     eval_f0,
     eval_f1,
     eval_fhalf,
     eval_log,
-    eval_scaled,
     eval_softcap,
     parse_weight,
     weight_grammar,
     weight_value,
 )
+import levysketch.level as level_module
 from levysketch.numerics import poisson_tail, regularized_gamma_q
 from levysketch.oracle import ks_test_exponential
 from levysketch.randomness import FreshSource, fresh_exp, parse_seed
@@ -96,10 +100,10 @@ def test_log_monotone_spots():
 
 
 def test_scaled():
-    assert eval_scaled(2.0, 1.0) == 0.5
-    assert eval_scaled(1.0, 0.773) == 0.773
+    assert LevelFunction(Scaled(2.0, F1())).eval_terms([(1.0, 0.5)]) == 0.5
+    assert LevelFunction(Scaled(1.0, F1())).eval_terms([(0.773, 0.5)]) == 0.773
     with pytest.raises(ValueError):
-        eval_scaled(0.0, 1.0)
+        Scaled(0.0, F1())
 
 
 def test_domain_errors():
@@ -117,22 +121,23 @@ def test_domain_errors():
 
 def test_composite_degenerate_atom():
     g = KilledDriftSum(atoms=((1.0, 0.7),))
-    assert eval_composite(g, [1.3], [0.4]) == eval_softcap(0.7, 1.3, 0.4)
+    assert LevelFunction(g).eval_terms([(1.3, 0.4)]) == eval_softcap(0.7, 1.3, 0.4)
 
 
 def test_composite_killing_plus_drift():
     g = KilledDriftSum(c=1.0, g0=1.0)
     a1, b1, a2, b2 = 0.9, 0.35, 1.7, 0.8
     expected = min(-math.log1p(-b1), a2)
-    assert eval_composite(g, [a1, a2], [b1, b2]) == pytest.approx(expected, rel=1e-14)
+    assert LevelFunction(g).eval_terms([(a1, b1), (a2, b2)]) == pytest.approx(
+        expected, rel=1e-14)
 
 
 def test_composite_length_mismatch():
-    g = KilledDriftSum(c=1.0, g0=1.0)
+    level = LevelFunction(KilledDriftSum(c=1.0, g0=1.0))
     with pytest.raises(ValueError):
-        eval_composite(g, [1.0], [0.5])
+        level.eval_terms([(1.0, 0.5)])
     with pytest.raises(ValueError):
-        eval_composite(g, [1.0, 2.0], [0.5])
+        level.eval_terms([(1.0, 0.5), (2.0, 0.5), (3.0, 0.5)])
 
 
 def test_level_function_shape():
@@ -232,7 +237,7 @@ def test_levels_at_infinite_first_argument():
         level = LevelFunction(g)
         for b in (1e-9, 0.3, 0.999):
             h = level.eval(math.inf, b)
-            if isinstance(g, F0):
+            if g == F0():
                 assert h == eval_f0(1.0, b)
             else:
                 assert h == math.inf
@@ -267,6 +272,12 @@ def test_weight_validation():
         KilledDriftSum(atoms=((0.0, 1.0),))
     with pytest.raises(ValueError):
         KilledDriftSum()  # identically zero
+    with pytest.raises(ValueError):
+        WeightFunction(())
+    with pytest.raises(ValueError):
+        WeightFunction((Term("f2", 0.0, 1.0),))
+    with pytest.raises(ValueError):
+        WeightFunction((Term("f1", 0.0, 0.0),))
 
 
 def test_grammar_round_trip():
@@ -282,3 +293,122 @@ def test_grammar_errors():
                 "sum:c=1,g0=0,atoms=1", "sum:c=0,g0=0,atoms=", "scale:x:f1"):
         with pytest.raises(ValueError):
             parse_weight(bad)
+
+
+def test_constructors_normalise():
+    assert Scaled(2, Scaled(3, Log())) == Scaled(6, Log())
+    assert KilledDriftSum(c=1) == F0()
+    assert hash(KilledDriftSum(c=1)) == hash(F0())
+    assert KilledDriftSum(g0=1.0) == F1()
+    assert KilledDriftSum(atoms=((1.0, 0.5),)) == SoftCap(0.5)
+    assert Scaled(2.0, KilledDriftSum(c=1.0, g0=0.5)) == KilledDriftSum(c=2.0, g0=1.0)
+    assert parse_weight("scale:2:scale:3:log") == Scaled(6.0, Log())
+
+
+def test_grammar_prints_normalised_form():
+    for text, normal in (("scale:3:scale:0.5:fhalf", "scale:1.5:fhalf"),
+                         ("sum:c=0,g0=1,atoms=", "f1"),
+                         ("sum:c=0,g0=0,atoms=2x0.5", "scale:2:softcap:0.5"),
+                         ("scale:2:sum:c=1,g0=0.5,atoms=", "sum:c=2,g0=1,atoms="),
+                         ("scale:1:log", "log")):
+        assert weight_grammar(parse_weight(text)) == normal
+    # a coefficient that %g would round is printed in full
+    g = parse_weight("scale:3:scale:0.7:fhalf")
+    assert weight_grammar(g) == f"scale:{3 * 0.7!r}:fhalf"
+    assert parse_weight(weight_grammar(g)) == g
+
+
+def test_grammar_refuses_unspellable_weights():
+    for terms in ((("fhalf", 0.0, 1.0), ("log", 0.0, 1.0)),
+                  (("f1", 0.0, 1.0), ("f0", 0.0, 1.0)),  # drift before killing
+                  (("f0", 0.0, 1.0), ("f0", 0.0, 2.0)),  # two killing terms
+                  (("f1", 3.0, 1.0),)):  # a parameter f1 does not have
+        g = WeightFunction(tuple(Term(*t) for t in terms))
+        with pytest.raises(ValueError):
+            weight_grammar(g)
+
+
+def test_term_table_calls_evaluators_through_the_module(monkeypatch):
+    # rebinding level.eval_<kind> (as a tracer does) must reach every term,
+    # also for a LevelFunction built before the rebinding
+    kinds = ("f0", "f1", "fhalf", "softcap", "log")
+    g = WeightFunction(tuple(Term(k, 0.5 if k == "softcap" else 0.0, 2.0) for k in kinds))
+    level = LevelFunction(g)
+    calls = Counter()
+    for k in kinds:
+        original = getattr(level_module, f"eval_{k}")
+
+        def counting(*args, _kind=k, _original=original):
+            calls[_kind] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(level_module, f"eval_{k}", counting)
+    level.eval_terms([(1.5, 0.3)] * len(kinds))
+    assert calls == Counter(kinds)
+    LevelFunction(Scaled(2.0, Log())).eval(1.5, 0.3)
+    assert calls["log"] == 2
+
+
+# --- property: the constructors, the grammar, weight_value and eval_terms ------
+
+_POSITIVE = st.floats(min_value=1e-3, max_value=1e3)
+_RATE = st.floats(min_value=0.1, max_value=10.0)
+
+# kind -> closed-form value and level, written out from the definitions
+_CLOSED = {
+    "f0": (lambda p, z: 1.0 if z > 0 else 0.0, lambda p, a, b: eval_f0(a, b)),
+    "f1": (lambda p, z: z, lambda p, a, b: eval_f1(a, b)),
+    "fhalf": (lambda p, z: math.sqrt(z), lambda p, a, b: eval_fhalf(a, b)),
+    "softcap": (lambda p, z: -math.expm1(-p * z), lambda p, a, b: eval_softcap(p, a, b)),
+    "log": (lambda p, z: math.log1p(z), lambda p, a, b: eval_log(a, b)),
+}
+
+
+@st.composite
+def _weights(draw):
+    """A weight built by the constructors, its unscaled (kind, param, coeff)
+    terms, the scales wrapped around it (outermost first), and its terms
+    after scaling, all derived by hand."""
+    if draw(st.booleans()):
+        kind = draw(st.sampled_from(sorted(_CLOSED)))
+        if kind == "softcap":
+            tau = draw(_RATE)
+            g, terms = SoftCap(tau), [("softcap", tau, 1.0)]
+        else:
+            g = {"f0": F0, "f1": F1, "fhalf": FHalf, "log": Log}[kind]()
+            terms = [(kind, 0.0, 1.0)]
+    else:
+        c = draw(st.just(0.0) | _POSITIVE)
+        g0 = draw(st.just(0.0) | _POSITIVE)
+        atoms = draw(st.lists(st.tuples(_POSITIVE, _RATE), max_size=3))
+        if c == g0 == 0.0 and not atoms:
+            c = 1.0
+        g = KilledDriftSum(c=c, g0=g0, atoms=tuple(atoms))
+        terms = ([("f0", 0.0, c)] if c else []) + ([("f1", 0.0, g0)] if g0 else [])
+        terms += [("softcap", r, w) for w, r in atoms]
+    alphas = draw(st.lists(_POSITIVE, max_size=3))
+    scaled = terms
+    for alpha in reversed(alphas):
+        g = Scaled(alpha, g)
+        scaled = [(kind, p, alpha * coeff) for kind, p, coeff in scaled]
+    return g, terms, alphas, scaled
+
+
+@settings(max_examples=300, deadline=None)
+# z stays clear of the subnormal range, where no result carries 1e-15
+@given(_weights(), st.just(0.0) | st.floats(min_value=1e-200, max_value=1e3),
+       st.lists(st.tuples(st.floats(min_value=1e-3, max_value=50.0),
+                          st.floats(min_value=1e-6, max_value=1.0 - 1e-6)),
+                min_size=5, max_size=5))
+def test_weight_layer_properties(weight, z, pairs):
+    g, terms, alphas, scaled = weight
+    assert g.terms == tuple(scaled)
+    assert parse_weight(weight_grammar(g)) == g
+    closed = sum(coeff * _CLOSED[k][0](p, z) for k, p, coeff in terms)
+    for alpha in reversed(alphas):
+        closed = alpha * closed
+    assert weight_value(g, z) == pytest.approx(closed, rel=1e-15, abs=0.0)
+    pairs = pairs[:len(scaled)]
+    expected = min(_CLOSED[k][1](p, a, b) / coeff
+                   for (k, p, coeff), (a, b) in zip(scaled, pairs))
+    assert LevelFunction(g).eval_terms(pairs) == expected

@@ -3,20 +3,41 @@ without-replacement identities, merging, and serialization."""
 
 import math
 import random
+import struct
 from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from levysketch.level import F0, F1, FHalf, KilledDriftSum, LevelFunction, Log
+from levysketch.level import (
+    F0,
+    F1,
+    FHalf,
+    KilledDriftSum,
+    LevelFunction,
+    Log,
+    eval_f0,
+    eval_f1,
+    eval_fhalf,
+    eval_log,
+    eval_softcap,
+    parse_weight,
+)
 from levysketch.oracle import (
     chi_square_gof,
     exact_wor_distribution,
     ExactDistribution,
     ks_test_exponential,
 )
-from levysketch.randomness import FreshSource, OracleHash, derive_seed, parse_seed
+from levysketch.randomness import (
+    FreshSource,
+    OracleHash,
+    derive_seed,
+    fresh_exp,
+    hash_unit,
+    parse_seed,
+)
 from levysketch.samplers import (
     FrameError,
     GSampler,
@@ -615,6 +636,140 @@ def test_frame_tag_and_count_validated():
         deserialize(data[:head] + b"\x01\x00\x00\x00" + data[head + 4:], level)
     with pytest.raises(FrameError):  # a gsampler holds at most one entry
         deserialize(data[:6] + b"\x01" + data[7:head] + b"\x02" + data[head + 8:], level)
+
+
+def _raw_frame(tag: int, header_layout: str, header: tuple, entry_layout: str,
+               entries: list) -> bytes:
+    """A frame written field by field: magic, version 1, tag, zero seed."""
+    parts = [struct.pack("<4sHB16s", b"LVSK", 1, tag, bytes(16)),
+             struct.pack(header_layout, *header)]
+    parts += [struct.pack(entry_layout, *e) for e in entries]
+    return b"".join(parts)
+
+
+def _scalar_frame(entries, k=None):  # gsampler without k, wor with it
+    if k is None:
+        return _raw_frame(1, "<B", (len(entries),), "<dQ", entries)
+    return _raw_frame(3, "<II", (k, len(entries)), "<dQ", entries)
+
+
+def _point_frame(entries, k=None):  # pareto without k, kpareto with it
+    if k is None:
+        return _raw_frame(2, "<I", (len(entries),), "<ddQ", entries)
+    return _raw_frame(4, "<II", (k, len(entries)), "<ddQ", entries)
+
+
+def test_frame_nan_entries_rejected():
+    level = LevelFunction(F1())
+    nan = math.nan
+    for frame in (_scalar_frame([(nan, 1)]), _scalar_frame([(1.0, 1), (nan, 2)], k=2),
+                  _point_frame([(nan, 0.5, 1)]), _point_frame([(1.0, nan, 1)]),
+                  _point_frame([(1.0, 0.5, 1), (nan, 0.2, 2)], k=2)):
+        with pytest.raises(FrameError):
+            deserialize(frame, level)
+
+
+def test_frame_b_outside_unit_interval_rejected():
+    for b in (2.0, 1.0, 0.0, -0.5, math.inf):
+        for frame in (_point_frame([(1.0, b, 1)]), _point_frame([(1.0, b, 1)], k=3)):
+            with pytest.raises(FrameError):
+                deserialize(frame)
+
+
+def test_frame_nonpositive_a_and_negative_h_rejected():
+    level = LevelFunction(F1())
+    for a in (0.0, -1.0, -math.inf):
+        with pytest.raises(FrameError):
+            deserialize(_point_frame([(a, 0.5, 1)]))
+        with pytest.raises(FrameError):
+            deserialize(_point_frame([(a, 0.5, 1)], k=2))
+    for h in (-1.0, -math.inf):
+        with pytest.raises(FrameError):
+            deserialize(_scalar_frame([(h, 1)]), level)
+        with pytest.raises(FrameError):
+            deserialize(_scalar_frame([(h, 1)], k=2), level)
+
+
+def test_frame_count_must_match_the_rebuilt_sketch():
+    level = LevelFunction(F1())
+    with pytest.raises(FrameError):  # a repeated key keeps one entry
+        deserialize(_scalar_frame([(1.0, 5), (2.0, 5)], k=3), level)
+    with pytest.raises(FrameError):  # the second point is dominated
+        deserialize(_point_frame([(1.0, 0.3, 1), (2.0, 0.5, 2)]))
+    with pytest.raises(FrameError):  # and at k = 2, by two points
+        deserialize(_point_frame([(1.0, 0.3, 1), (1.5, 0.4, 2), (2.0, 0.5, 3)], k=2))
+    with pytest.raises(FrameError):  # a key's larger a is superseded
+        deserialize(_point_frame([(1.0, 0.3, 1), (2.0, 0.3, 1)], k=2))
+    # the same entries in a frame that keeps them all are accepted
+    assert len(deserialize(_point_frame([(1.0, 0.3, 1), (2.0, 0.5, 2)], k=2)).frontier) == 2
+
+
+def test_frame_round_trip_with_infinite_entries():
+    # the smallest subnormal delta puts a = Y/delta at inf, and the f1 level too
+    level = LevelFunction(F1())
+    oracle = _oracle(95)
+    sketches = [GSampler(level, oracle), ParetoSampler(oracle),
+                WorSampler(2, level, oracle), KParetoSampler(2, oracle)]
+    for key in (4, 2):
+        for s in sketches:
+            s.update(key, 5e-324)
+    assert sketches[0].query() == (2, math.inf)
+    assert {t.a for t in sketches[1].frontier} == {math.inf}
+    for s in sketches:
+        data = s.to_bytes()
+        assert deserialize(data, level).to_bytes() == data
+
+
+# grammar -> its terms as (evaluator of (a, b), coefficient), written out
+# from the definitions rather than read from the weight layer
+_REPLAY_TERMS = {
+    "f0": [(eval_f0, 1.0)],
+    "f1": [(eval_f1, 1.0)],
+    "fhalf": [(eval_fhalf, 1.0)],
+    "log": [(eval_log, 1.0)],
+    "softcap:1": [(lambda a, b: eval_softcap(1.0, a, b), 1.0)],
+    "scale:2:log": [(eval_log, 2.0)],
+    "sum:c=1,g0=0.5,atoms=2x0.5": [(eval_f0, 1.0), (eval_f1, 0.5),
+                                   (lambda a, b: eval_softcap(0.5, a, b), 2.0)],
+}
+
+
+@pytest.mark.parametrize("grammar", sorted(_REPLAY_TERMS))
+def test_candidates_replay_from_the_definitions(grammar):
+    # per update and term j: a fresh Exp(1) draw, then the key's hash under
+    # salt base + j; the candidate is the minimum of eval_<kind>(...) / coeff
+    base_salt = 5
+    oracle = OracleHash(derive_seed(SEED, 120), base_salt)
+    level = LevelFunction(parse_weight(grammar))
+    gs, wor = GSampler(level, oracle), WorSampler(3, level, oracle)
+    fresh = FreshSource(oracle.seed)
+    minima = {}
+    rnd = random.Random(121)
+    for _ in range(60):
+        key, delta = rnd.randrange(12), rnd.uniform(0.05, 5.0)
+        gs.update(key, delta)
+        wor.update(key, delta)
+        candidate = math.inf
+        for j, (evaluate, coeff) in enumerate(_REPLAY_TERMS[grammar]):
+            y = fresh_exp(fresh)
+            b = hash_unit(OracleHash(oracle.seed, base_salt + j), key)
+            candidate = min(candidate, evaluate(y / delta, b) / coeff)
+        minima[key] = min(minima.get(key, math.inf), candidate)
+    ranked = sorted((h, key) for key, h in minima.items())
+    assert gs.query() == (ranked[0][1], ranked[0][0])
+    assert wor.query() == [(key, h) for h, key in ranked[:3]]
+
+
+def test_equal_weights_merge():
+    # KilledDriftSum(c=1) is F0(): the sketches merge and replay identically
+    oracle = _oracle(122)
+    a = GSampler(LevelFunction(KilledDriftSum(c=1.0)), oracle)
+    b = GSampler(LevelFunction(F0()), oracle)
+    for key in range(5):
+        a.update(key, 1.0)
+        b.update(key, 1.0)
+    assert a.to_bytes() == b.to_bytes()
+    a.merge_from(b)
 
 
 def test_pareto_query_tie_break_smaller_key():
