@@ -13,9 +13,11 @@ three operations into a DAG:
   current minimum came from.
 
 Scalar and G gates must have exactly one successor, which is what keeps the
-values arriving at any gate over different wires independent.  Only output
-gates carry state between updates; everything else is recomputed per update,
-so a whole circuit costs two words of persistent memory per output gate.
+values arriving at any gate over different wires independent.  So a value
+leaving an input gate on one wire runs along one path of gates to one output
+gate; `Circuit.validate` compiles those paths and an update runs them.  Only
+output gates carry state between updates, so a whole circuit costs two words
+of persistent memory per output gate.
 
 The stock construction here is the edge sampler: given a fixed (hyper)graph
 with vertex masses fed by the update stream, it samples an edge {u, v} with
@@ -86,15 +88,16 @@ class GGate:
     """Applies a single-hash level function with a per-gate seed U.
 
     The seed is drawn from the oracle hash under `seed_salt`, keyed by the
-    gate's scope object: an integer key, an arbitrary byte string (e.g. a
-    canonical edge encoding), or None to scope by the key of the update
-    being processed.
+    gate's scope: an integer key or an arbitrary byte string (e.g. a
+    canonical edge encoding).
     """
 
-    def __init__(self, level: LevelFunction, seed_salt: int,
-                 scope: Union[int, bytes, None]):
+    def __init__(self, level: LevelFunction, seed_salt: int, scope: Union[int, bytes]):
         if not level.single_hash:
             raise ValueError("G-gates need a single-hash weight function")
+        # an int scope is a 64-bit key: hash_unit would alias -1 to 2^64 - 1
+        if not (isinstance(scope, bytes) or (isinstance(scope, int) and 0 <= scope < 1 << 64)):
+            raise ValueError(f"G-gate scope must be bytes or an int in [0, 2^64), got {scope!r}")
         self.level = level
         self.seed_salt = seed_salt
         self.scope = scope
@@ -123,21 +126,22 @@ class CircuitViolation:
 
 
 class Circuit:
-    """A validated gate DAG plus the output gates' running state.
+    """A gate DAG run as one gate path per input wire, plus the output gates'
+    running state.
 
     Gates are added by id (any hashable); wires are directed and ordered --
     the declaration order of an input gate's outgoing wires fixes the order
     in which its fresh exponentials are drawn, which is what makes replays
-    and shard merges exact.
+    and shard merges exact.  `validate` compiles the paths.
     """
 
     def __init__(self) -> None:
         self.gates: dict = {}
-        self.wires: list[tuple[object, object]] = []
         self.labels: dict = {}
         self._succ: dict = {}
         self._pred: dict = {}
-        self._topo: Optional[list] = None
+        # input gate -> [(gates passed, output gate, label reported)] per wire
+        self._paths: Optional[dict] = None
         self._unit_cache: dict = {}
         self._out_state: dict = {}
 
@@ -151,21 +155,21 @@ class Circuit:
             self.labels[gate_id] = label
         if isinstance(gate, OutputGate):
             self._out_state[gate_id] = (None, math.inf)
-        self._topo = None
+        self._paths = None
 
     def add_wire(self, src, dst) -> None:
         for g in (src, dst):
             if g not in self.gates:
                 raise ValueError(f"wire references unknown gate {g!r}")
-        self.wires.append((src, dst))
         self._succ[src].append(dst)
         self._pred[dst].append(src)
-        self._topo = None
+        self._paths = None
 
     # -- validation ----------------------------------------------------------
 
     def validate(self) -> Optional[CircuitViolation]:
-        """Check the structural rules; returns the first violation or None."""
+        """Check the structural rules and, when they hold, compile the wire
+        paths; returns the first violation or None."""
         for gate_id, gate in self.gates.items():
             n_out = len(self._succ[gate_id])
             n_in = len(self._pred[gate_id])
@@ -184,102 +188,81 @@ class Circuit:
                 return CircuitViolation(
                     gate_id, f"G-gate must have exactly 1 successor, has {n_out}")
 
-        order = self._topo_order()
-        if len(order) != len(self.gates):
-            on_cycle = next(g for g in self.gates if g not in set(order))
-            return CircuitViolation(on_cycle, "gate lies on a cycle")
-
-        # every non-output gate must reach an output gate
-        reaches = {g for g, gate in self.gates.items() if isinstance(gate, OutputGate)}
-        for gate_id in reversed(order):
-            if gate_id in reaches:
+        for gate_id, gate in self.gates.items():
+            if isinstance(gate, (ScalarGate, GGate)) and self._chain(gate_id)[-1] == gate_id:
+                return CircuitViolation(gate_id, "gate lies on a cycle")
+        # with no cycle every scalar and G-gate chain ends at an output gate,
+        # so only an input gate without wires reaches none
+        paths = {}
+        for gate_id, gate in self.gates.items():
+            if not isinstance(gate, InputGate):
                 continue
-            if any(s in reaches for s in self._succ[gate_id]):
-                reaches.add(gate_id)
-        for gate_id in self.gates:
-            if gate_id not in reaches:
+            if not self._succ[gate_id]:
                 return CircuitViolation(gate_id, "gate cannot reach an output gate")
+            paths[gate_id] = []
+            for dst in self._succ[gate_id]:
+                chain = [gate_id] + self._chain(dst)
+                passed = tuple((g, self.gates[g]) for g in chain[1:-1])
+                paths[gate_id].append((passed, chain[-1], self.labels.get(chain[-2], chain[-2])))
+        self._paths = paths
         return None
 
-    def _topo_order(self) -> list:
-        if self._topo is not None:
-            return self._topo
-        indeg = {g: len(self._pred[g]) for g in self.gates}
-        ready = [g for g, d in indeg.items() if d == 0]
-        order = []
-        while ready:
-            g = ready.pop(0)
-            order.append(g)
-            for s in self._succ[g]:
-                indeg[s] -= 1
-                if indeg[s] == 0:
-                    ready.append(s)
-        self._topo = order
-        return order
+    def _chain(self, gate_id) -> list:
+        """gate_id and the gates after it, following single successors up to
+        an output gate or up to the first gate met twice."""
+        chain, seen = [gate_id], {gate_id}
+        while not isinstance(self.gates[chain[-1]], OutputGate):
+            nxt = self._succ[chain[-1]][0]
+            chain.append(nxt)
+            if nxt in seen:
+                break
+            seen.add(nxt)
+        return chain
 
     # -- execution -----------------------------------------------------------
 
-    def _gate_unit(self, gate_id, gate: GGate, oracle: OracleHash,
-                   update_key: int) -> float:
-        scope = gate.scope
-        salted = oracle.with_salt(gate.seed_salt)
-        if scope is None:
-            return hash_unit(salted, update_key)
-        cache_key = (gate_id, oracle.seed, oracle.salt)
-        u = self._unit_cache.get(cache_key)
+    def _gate_unit(self, gate_id, gate: GGate, oracle: OracleHash) -> float:
+        u = self._unit_cache.get((gate_id, oracle))
         if u is None:
-            if isinstance(scope, bytes):
-                u = hash_unit_bytes(salted, scope)
+            salted = oracle.with_salt(gate.seed_salt)
+            if isinstance(gate.scope, bytes):
+                u = hash_unit_bytes(salted, gate.scope)
             else:
-                u = hash_unit(salted, scope)
-            self._unit_cache[cache_key] = u
+                u = hash_unit(salted, gate.scope)
+            self._unit_cache[(gate_id, oracle)] = u
         return u
 
-    def update(self, input_gate, delta: float, key: int, rng: FreshSource,
+    def update(self, input_gate, delta: float, rng: FreshSource,
                oracle: OracleHash) -> None:
         """Process one update arriving at an input gate.
 
-        Values propagate synchronously in topological order; each gate maps
-        each arriving value independently.  Only output-gate state survives.
+        Each outgoing wire, in declaration order, draws Exp(1)/delta and
+        carries it along its path to its output gate.  Only output-gate
+        state survives.  ValueError if the circuit breaks a structural rule.
         """
-        gate = self.gates.get(input_gate)
-        if gate is None or not isinstance(gate, InputGate):
+        if self._paths is None:
+            violation = self.validate()
+            if violation is not None:
+                raise ValueError(
+                    f"invalid circuit: gate {violation.gate_id!r}: {violation.reason}")
+        paths = self._paths.get(input_gate)
+        if paths is None:
             raise ValueError(f"{input_gate!r} is not an input gate")
         if not (delta > 0):
             raise ValueError(f"delta must be positive, got {delta}")
 
-        pending: dict = {}
-        for dst in self._succ[input_gate]:
-            y = fresh_exp(rng)
-            pending.setdefault(dst, []).append((y / delta, input_gate))
-
-        for gate_id in self._topo_order():
-            arrived = pending.pop(gate_id, None)
-            if not arrived:
-                continue
-            gate = self.gates[gate_id]
-            if isinstance(gate, OutputGate):
-                ident, h_star = self._out_state[gate_id]
-                for value, src in arrived:
-                    label = self.labels.get(src, src)
-                    # the smaller (value, identifier) pair, as the samplers
-                    # keep it; the first arrival always, even at inf
-                    if ident is None or value < h_star or (
-                            value == h_star and label < ident):
-                        ident, h_star = label, value
-                self._out_state[gate_id] = (ident, h_star)
-                continue
-            if isinstance(gate, ScalarGate):
-                transformed = [v / gate.alpha for v, _ in arrived]
-            elif isinstance(gate, GGate):
-                u = self._gate_unit(gate_id, gate, oracle, key)
-                transformed = [gate.level.eval(v, u) for v, _ in arrived]
-            else:
-                raise ValueError(f"input gate {gate_id!r} has a predecessor")
-            for succ in self._succ[gate_id]:
-                bucket = pending.setdefault(succ, [])
-                for v in transformed:
-                    bucket.append((v, gate_id))
+        for passed, out_id, label in paths:
+            value = fresh_exp(rng) / delta
+            for gate_id, gate in passed:
+                if isinstance(gate, ScalarGate):
+                    value /= gate.alpha
+                else:
+                    value = gate.level.eval(value, self._gate_unit(gate_id, gate, oracle))
+            ident, h_star = self._out_state[out_id]
+            # the smaller (value, identifier) pair, as the samplers keep it;
+            # the first arrival always, even at inf
+            if ident is None or value < h_star or (value == h_star and label < ident):
+                self._out_state[out_id] = (label, value)
 
     def output(self, output_gate) -> Optional[tuple[object, float]]:
         """The stored (identifier, value) pair of an output gate, if any."""
@@ -432,12 +415,11 @@ class EdgeSampler:
         self.oracle = oracle
         self.fresh = fresh if fresh is not None else FreshSource(oracle.seed)
         self.circuit = build_edge_sampler(spec)
-        self._connected = {v for e in spec.edges for v in e}
 
     def update(self, vertex: int, delta: float) -> None:
-        if vertex not in self._connected:
+        if ("in", vertex) not in self.circuit.gates:
             return  # no incident edge: the update cannot affect any weight
-        self.circuit.update(("in", vertex), delta, vertex, self.fresh, self.oracle)
+        self.circuit.update(("in", vertex), delta, self.fresh, self.oracle)
 
     def query(self) -> Optional[tuple[tuple[int, ...], float]]:
         return self.circuit.output("out")

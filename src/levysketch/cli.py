@@ -259,7 +259,7 @@ class _CircuitSketch:
         return self
 
     def update(self, key: int, delta: float) -> None:
-        self.circuit.update(self._gate_of[key], delta, key, self.fresh, self.oracle)
+        self.circuit.update(self._gate_of[key], delta, self.fresh, self.oracle)
 
     def query(self) -> Optional[tuple[object, float]]:
         return self.circuit.output(self._out_id)

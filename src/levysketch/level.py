@@ -352,15 +352,19 @@ def parse_weight(text: str) -> WeightFunction:
     """Parse the compact grammar: f0 | f1 | fhalf | log | softcap:<tau> |
     scale:<alpha>:<inner> | sum:c=<c>,g0=<g0>,atoms=<w>x<r>;<w>x<r>;..."""
     text = text.strip()
-    # a chain of scales multiplies out outermost first
-    alpha = 1.0
+    # a chain of scales wraps innermost first, as nested Scaled calls do;
+    # folded in a loop, so no chain depth exhausts the recursion limit
+    alphas = []
     while text.startswith("scale:"):
         alpha_text, sep, inner_text = text[len("scale:"):].partition(":")
         if not sep:
             raise ValueError(f"scale needs an inner weight function: {text!r}")
-        alpha *= _parse_number(alpha_text, "alpha")
+        alphas.append(_parse_number(alpha_text, "alpha"))
         text = inner_text.strip()
-    return Scaled(alpha, _parse_unscaled(text))
+    g = _parse_unscaled(text)
+    for alpha in reversed(alphas):
+        g = Scaled(alpha, g)
+    return g
 
 
 def _parse_unscaled(text: str) -> WeightFunction:

@@ -38,7 +38,7 @@ class BracketError(ValueError):
     """The supplied bracket does not enclose the target value."""
 
 
-class NoConvergenceError(RuntimeError):
+class NoConvergenceError(ValueError):
     """Root finding failed to meet tolerance within the iteration cap."""
 
 

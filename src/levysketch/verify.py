@@ -430,7 +430,7 @@ def check_flat_equivalence(seed: bytes, params: VerifyParams) -> list[CheckResul
         circuit_fresh = FreshSource(oracle.seed)
         scalar = GSampler(level, oracle)
         for key, delta in stream:
-            circuit.update(("in", key), delta, key, circuit_fresh, oracle)
+            circuit.update(("in", key), delta, circuit_fresh, oracle)
             scalar.update(key, delta)
         if circuit.output("out") != scalar.query():
             mismatches += 1
@@ -452,7 +452,7 @@ def check_heterogeneous_flat(seed: bytes, params: VerifyParams) -> list[CheckRes
         circuit = build_flat_circuit(weights)
         fresh = FreshSource(oracle.seed)
         for key in sorted(masses):
-            circuit.update(("in", key), masses[key], key, fresh, oracle)
+            circuit.update(("in", key), masses[key], fresh, oracle)
         counts[circuit.output("out")[0]] += 1
     chi = chi_square_gof(counts, exact, params.significance)
     return [CheckResult("circuits/heterogeneous-flat", chi.passed,

@@ -24,7 +24,15 @@ from levysketch.oracle import (
     ExactDistribution,
     ks_test_exponential,
 )
-from levysketch.randomness import FreshSource, OracleHash, derive_seed, parse_seed
+from levysketch.randomness import (
+    FreshSource,
+    OracleHash,
+    derive_seed,
+    fresh_exp,
+    hash_unit,
+    hash_unit_bytes,
+    parse_seed,
+)
 from levysketch.samplers import GSampler
 
 SEED = parse_seed("c1bc")
@@ -106,17 +114,41 @@ def test_ggate_rejects_composite_level():
         GGate(LevelFunction(KilledDriftSum(c=1.0, g0=1.0)), 0, 1)
 
 
+def test_ggate_scope_must_be_a_key_or_bytes():
+    for bad in (None, "edge", 1.5, (1, 2), -1, 1 << 64):
+        with pytest.raises(ValueError):
+            GGate(F1_LEVEL, 0, bad)
+
+
 def test_update_errors():
     c = build_flat_circuit({1: F1_LEVEL})
     fs = FreshSource(SEED)
     with pytest.raises(ValueError):
-        c.update("nope", 1.0, 1, fs, _oracle(0))
+        c.update("nope", 1.0, fs, _oracle(0))
     with pytest.raises(ValueError):
-        c.update(("g", 1), 1.0, 1, fs, _oracle(0))  # not an input gate
+        c.update(("g", 1), 1.0, fs, _oracle(0))  # not an input gate
     with pytest.raises(ValueError):
-        c.update(("in", 1), 0.0, 1, fs, _oracle(0))
+        c.update(("in", 1), 0.0, fs, _oracle(0))
     with pytest.raises(ValueError):
         c.output(("in", 1))
+
+
+def test_update_rejects_invalid_circuit():
+    # never validated: update validates first and names the gate and the rule
+    fork = _chain(("in", InputGate()), ("g", GGate(F1_LEVEL, 0, 1)),
+                  ("o1", OutputGate()), ("o2", OutputGate()))
+    fork.add_wire("in", "g")
+    fork.add_wire("g", "o1")
+    fork.add_wire("g", "o2")
+    with pytest.raises(ValueError, match="'g'.*successor"):
+        fork.update("in", 1.0, FreshSource(SEED), _oracle(0))
+    loop = _chain(("in", InputGate()), ("g1", GGate(F1_LEVEL, 0, 1)),
+                  ("g2", GGate(F1_LEVEL, 0, 2)), ("out", OutputGate()))
+    loop.add_wire("in", "g1")
+    loop.add_wire("g1", "g2")
+    loop.add_wire("g2", "g1")
+    with pytest.raises(ValueError, match="'g1'.*cycle"):
+        loop.update("in", 1.0, FreshSource(SEED), _oracle(0))
 
 
 def test_duplicate_gate_and_unknown_wire():
@@ -139,7 +171,7 @@ def test_flat_circuit_matches_gsampler_seed_for_seed():
         fresh = FreshSource(oracle.seed)
         scalar = GSampler(FHALF_LEVEL, oracle)
         for key, delta in stream:
-            circuit.update(("in", key), delta, key, fresh, oracle)
+            circuit.update(("in", key), delta, fresh, oracle)
             scalar.update(key, delta)
         assert circuit.output("out") == scalar.query()
 
@@ -152,7 +184,7 @@ def test_flat_circuit_ties_at_infinity_match_gsampler():
     fresh = FreshSource(oracle.seed)
     scalar = GSampler(FHALF_LEVEL, oracle)
     for key in (1, 0):
-        circuit.update(("in", key), 1e-310, key, fresh, oracle)
+        circuit.update(("in", key), 1e-310, fresh, oracle)
         scalar.update(key, 1e-310)
     assert scalar.query() == (0, math.inf)
     assert circuit.output("out") == scalar.query()
@@ -175,8 +207,8 @@ def test_heterogeneous_flat_circuit():
         oracle = _oracle(40_000 + rep)
         c = build_flat_circuit(weights)
         fresh = FreshSource(oracle.seed)
-        c.update(("in", 1), 3.0, 1, fresh, oracle)
-        c.update(("in", 2), 5.0, 2, fresh, oracle)
+        c.update(("in", 1), 3.0, fresh, oracle)
+        c.update(("in", 2), 5.0, fresh, oracle)
         hits += c.output("out")[0] == 1
     assert abs(hits / reps - 0.75) <= 3 * math.sqrt(0.1875 / reps)
 
@@ -193,9 +225,98 @@ def test_scalar_gate_halves_rate():
         c.add_wire("g", "half")
         c.add_wire("half", "out")
         assert c.validate() is None
-        c.update("in", mass, 1, FreshSource(oracle.seed), oracle)
+        c.update("in", mass, FreshSource(oracle.seed), oracle)
         values.append(c.output("out")[1])
     assert ks_test_exponential(values, 2.0 * mass).passed
+
+
+_REFERENCE_LEVELS = (LevelFunction(F0()), F1_LEVEL, FHALF_LEVEL, LevelFunction(Log()))
+
+
+def _random_circuit(rnd):
+    """A random valid circuit with two output gates, and by hand each input
+    gate's wires in declaration order as (operations, output, label)."""
+    c = Circuit()
+    ids = iter(range(10**6))
+    outs = ("o0", "o1")
+    for o in outs:
+        c.add_gate(o, OutputGate())
+
+    def prepend(gate, dst, ops):
+        """Wire a new gate in front of dst; returns its id and operations."""
+        gate_id = f"x{next(ids):02d}"
+        c.add_gate(gate_id, gate, label=f"L{gate_id}" if rnd.random() < 0.5 else None)
+        c.add_wire(gate_id, dst)
+        op = ("s", gate.alpha) if isinstance(gate, ScalarGate) else (
+            "g", gate.level, gate.seed_salt, gate.scope)
+        return gate_id, [op] + ops
+
+    def scalars(dst, ops, n):
+        for _ in range(n):
+            dst, ops = prepend(ScalarGate(rnd.uniform(0.5, 3.0)), dst, ops)
+        return dst, ops
+
+    def label(gate_id):
+        return c.labels.get(gate_id, gate_id)
+
+    entries = []  # (gate a wire enters, operations, output, label or None)
+    for _ in range(rnd.randint(1, 2)):  # G-gates with 2 or 3 predecessors
+        out = rnd.choice(outs)
+        dst, ops = scalars(out, [], rnd.randint(0, 1))
+        scope = rnd.choice((rnd.getrandbits(64), rnd.randbytes(rnd.randint(0, 12))))
+        g, ops = prepend(GGate(rnd.choice(_REFERENCE_LEVELS), rnd.randint(0, 3), scope),
+                         dst, ops)
+        reported = label(dst if dst != out else g)
+        for _ in range(rnd.randint(2, 3)):
+            entry, entry_ops = scalars(g, ops, rnd.randint(0, 2))
+            entries.append((entry, entry_ops, out, reported))
+    for _ in range(rnd.randint(1, 3)):  # direct wires and scalar chains
+        out = rnd.choice(outs)
+        last, ops = scalars(out, [], rnd.randint(0, 1))
+        entry, ops = scalars(last, ops, rnd.randint(0, 1) if last != out else 0)
+        entries.append((entry, ops, out, None if last == out else label(last)))
+    rnd.shuffle(entries)
+    wires = {f"in{i}": [] for i in range(rnd.randint(1, 3))}
+    for gate in wires:
+        c.add_gate(gate, InputGate())
+    for j, (entry, ops, out, reported) in enumerate(entries):
+        gate = f"in{j}" if j < len(wires) else rnd.choice(sorted(wires))
+        c.add_wire(gate, entry)
+        wires[gate].append((ops, out, gate if reported is None else reported))
+    return c, wires
+
+
+def test_propagation_matches_reference():
+    # every output recomputed by hand after every update: one fresh draw per
+    # wire in declaration order, pushed through that wire's gates
+    for i in range(60):
+        rnd = random.Random(i)
+        c, wires = _random_circuit(rnd)
+        assert c.validate() is None
+        oracles = (_oracle(600_000 + i), _oracle(700_000 + i))
+        fresh, ref_fresh = FreshSource(oracles[0].seed), FreshSource(oracles[0].seed)
+        state = {}
+        for _ in range(rnd.randint(1, 12)):
+            # gate seeds follow the oracle each update is given
+            oracle = rnd.choice(oracles)
+            gate = rnd.choice(sorted(wires))
+            delta = 1e-310 if rnd.random() < 0.2 else rnd.uniform(0.1, 5.0)
+            c.update(gate, delta, fresh, oracle)
+            for ops, out, label in wires[gate]:
+                value = fresh_exp(ref_fresh) / delta
+                for op in ops:
+                    if op[0] == "s":
+                        value /= op[1]
+                    else:
+                        _, level, salt, scope = op
+                        salted = OracleHash(oracle.seed, salt)
+                        u = (hash_unit_bytes(salted, scope) if isinstance(scope, bytes)
+                             else hash_unit(salted, scope))
+                        value = level.eval(value, u)
+                if out not in state or (value, label) < state[out][::-1]:
+                    state[out] = (label, value)
+            for out in ("o0", "o1"):
+                assert c.output(out) == state.get(out)
 
 
 def test_spec_validation():
@@ -284,7 +405,7 @@ def test_isolated_vertex_never_sampled():
 
 def test_reset_state():
     c = build_flat_circuit({1: F1_LEVEL})
-    c.update(("in", 1), 1.0, 1, FreshSource(SEED), _oracle(0))
+    c.update(("in", 1), 1.0, FreshSource(SEED), _oracle(0))
     assert c.output("out") is not None
     c.reset_state()
     assert c.output("out") is None
@@ -330,6 +451,6 @@ def test_asymmetric_directed_pairs():
         c = _directed_pair_circuit()
         fresh = FreshSource(oracle.seed)
         for v in sorted(masses):
-            c.update(("in", v), masses[v], v, fresh, oracle)
+            c.update(("in", v), masses[v], fresh, oracle)
         counts[c.output("out")[0]] += 1
     assert chi_square_gof(counts, exact).passed

@@ -281,3 +281,17 @@ def test_main_subnormal_delta(tmp_path, g):
         report = json.loads(out.read_text())
         assert report["counts"] == {"1": 50}
         assert report["value_summary"]["min"] > 1e200
+
+
+def test_main_solver_failure_exits_2(tmp_path, monkeypatch, capsys):
+    import levysketch.level as lv
+    from levysketch.numerics import NoConvergenceError
+
+    def fail(a, b):
+        raise NoConvergenceError("no convergence")
+
+    monkeypatch.setattr(lv, "eval_log", fail)
+    stream = tmp_path / "s.txt"
+    stream.write_text("1 1\n")
+    assert main(["sample", str(stream), "--g", "log", "--reps", "3", "--seed", "beef"]) == 2
+    assert "error: no convergence" in capsys.readouterr().err

@@ -17,6 +17,7 @@ from levysketch.level import (
     KilledDriftSum,
     LevelFunction,
     Log,
+    Scaled,
     eval_f0,
     eval_f1,
     eval_fhalf,
@@ -760,11 +761,18 @@ def test_candidates_replay_from_the_definitions(grammar):
     assert wor.query() == [(key, h) for h, key in ranked[:3]]
 
 
-def test_equal_weights_merge():
-    # KilledDriftSum(c=1) is F0(): the sketches merge and replay identically
+@pytest.mark.parametrize("g, same", [
+    (KilledDriftSum(c=1.0), F0()),
+    # a scale chain parses innermost first, as the nested constructors build it
+    (parse_weight("scale:0.1:scale:0.2:scale:0.3:f1"),
+     Scaled(0.1, Scaled(0.2, Scaled(0.3, F1())))),
+])
+def test_equal_weights_merge(g, same):
+    # equal weights: the sketches merge and replay identically
+    assert g == same
     oracle = _oracle(122)
-    a = GSampler(LevelFunction(KilledDriftSum(c=1.0)), oracle)
-    b = GSampler(LevelFunction(F0()), oracle)
+    a = GSampler(LevelFunction(g), oracle)
+    b = GSampler(LevelFunction(same), oracle)
     for key in range(5):
         a.update(key, 1.0)
         b.update(key, 1.0)
