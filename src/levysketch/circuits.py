@@ -140,7 +140,8 @@ class Circuit:
         self.labels: dict = {}
         self._succ: dict = {}
         self._pred: dict = {}
-        # input gate -> [(gates passed, output gate, label reported)] per wire
+        # input gate -> [(gates passed, output gate, label reported, index of
+        # the last G-gate passed, product of the alphas after it)] per wire
         self._paths: Optional[dict] = None
         self._unit_cache: dict = {}
         self._out_state: dict = {}
@@ -203,7 +204,11 @@ class Circuit:
             for dst in self._succ[gate_id]:
                 chain = [gate_id] + self._chain(dst)
                 passed = tuple((g, self.gates[g]) for g in chain[1:-1])
-                paths[gate_id].append((passed, chain[-1], self.labels.get(chain[-2], chain[-2])))
+                last_g = max((i for i, (_, gate) in enumerate(passed)
+                              if isinstance(gate, GGate)), default=-1)
+                scale = math.prod(gate.alpha for _, gate in passed[last_g + 1:])
+                paths[gate_id].append((passed, chain[-1], self.labels.get(chain[-2], chain[-2]),
+                                       last_g, scale))
         self._paths = paths
         return None
 
@@ -237,8 +242,10 @@ class Circuit:
         """Process one update arriving at an input gate.
 
         Each outgoing wire, in declaration order, draws Exp(1)/delta and
-        carries it along its path to its output gate.  Only output-gate
-        state survives.  ValueError if the circuit breaks a structural rule.
+        carries it along its path to its output gate; the path's last G-gate,
+        bounded by the output's value times the alphas after it, solves only
+        for a value that can change the output.  Only output-gate state
+        survives.  ValueError if the circuit breaks a structural rule.
         """
         if self._paths is None:
             violation = self.validate()
@@ -251,13 +258,14 @@ class Circuit:
         if not (delta > 0):
             raise ValueError(f"delta must be positive, got {delta}")
 
-        for passed, out_id, label in paths:
+        for passed, out_id, label, last_g, scale in paths:
             value = fresh_exp(rng) / delta
-            for gate_id, gate in passed:
+            for i, (gate_id, gate) in enumerate(passed):
                 if isinstance(gate, ScalarGate):
                     value /= gate.alpha
                 else:
-                    value = gate.level.eval(value, self._gate_unit(gate_id, gate, oracle))
+                    bound = self._out_state[out_id][1] * scale if i == last_g else math.inf
+                    value = gate.level.eval(value, self._gate_unit(gate_id, gate, oracle), bound)
             ident, h_star = self._out_state[out_id]
             # the smaller (value, identifier) pair, as the samplers keep it;
             # the first arrival always, even at inf

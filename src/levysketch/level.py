@@ -35,17 +35,21 @@ of the key.  That reproduces the summation rule for exponential rates
 (min of independent Exp variables sums the rates), so the transformation
 property holds for the sum as a whole.
 
-Direct evaluation everywhere; no precomputed lattice tables.
+Record-only evaluation: softcap and log also have a forward column, the
+increasing function of w their solver inverts at b.  Under a bound (default
+inf) one forward value shows whether a term's level lies above it; such a
+term returns inf unsolved, and any other, ties included, is solved in full.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, Optional
 
 from scipy.special import ndtri
 
+from .numerics import DEFAULT_TOLERANCE as _TOL
 from .numerics import (
     inv_erf,
     poisson_tail,
@@ -90,6 +94,8 @@ class _Kind(NamedTuple):
     value: Callable[[float, float], float]  # (param, z) -> G(z)
     level: Callable[[float, float, float], float]  # (param, a, b) -> l(a, b)
     param_name: str = ""  # set when the grammar spells "<kind>:<param>"
+    # (param, a, w) -> the increasing function of w a root-solved level inverts
+    forward: Optional[Callable[[float, float, float], float]] = None
 
 
 # Each row reaches eval_<kind> through the module globals at call time, so a
@@ -99,8 +105,11 @@ _KINDS: dict[str, _Kind] = {
     "f1": _Kind(lambda p, z: z, lambda p, a, b: eval_f1(a, b)),
     "fhalf": _Kind(lambda p, z: math.sqrt(z), lambda p, a, b: eval_fhalf(a, b)),
     "softcap": _Kind(lambda p, z: -math.expm1(-p * z),
-                     lambda p, a, b: eval_softcap(p, a, b), "tau"),
-    "log": _Kind(lambda p, z: math.log1p(z), lambda p, a, b: eval_log(a, b)),
+                     lambda p, a, b: eval_softcap(p, a, b), "tau",
+                     # min(): ceil(inf) raises; a smaller count only errs toward solving
+                     lambda p, a, w: poisson_tail(max(math.ceil(min(a / p, _CENTRED)), 1), w)),
+    "log": _Kind(lambda p, z: math.log1p(z), lambda p, a, b: eval_log(a, b),
+                 forward=lambda p, a, w: regularized_gamma_q(w, a)),
 }
 
 
@@ -299,6 +308,21 @@ def eval_log(a: float, b: float) -> float:
     return solve_monotone_increasing(f, b, (lo, hi))
 
 
+def _above(forward, param, coeff, a, b, bound) -> bool:
+    """True when one forward value proves a term's level above bound.
+
+    The solver returns an x with forward(x) >= b - residual(b), or the
+    midpoint of a bracket whose top has forward >= b and whose width is at
+    most abs + rel * x.  So forward(w) < b - 2 residual(b) puts x above w
+    less half that width; widening coeff * bound by 1e3 widths covers it and
+    all rounding, and a level equal to bound is never rejected.
+    """
+    _check_domain(a, b)
+    w = coeff * bound
+    w += 1e3 * (_TOL.abs + _TOL.rel * w)
+    return forward(param, a, w) < b - 2.0 * _TOL.residual(b)
+
+
 class LevelFunction:
     """Evaluator for the level function of a weight function.
 
@@ -311,7 +335,7 @@ class LevelFunction:
 
     def __init__(self, g: WeightFunction):
         self.weight = g
-        self._terms = [(_KINDS[kind].level, param, coeff)
+        self._terms = [(_KINDS[kind].level, _KINDS[kind].forward, param, coeff)
                        for kind, param, coeff in g.terms]
 
     @property
@@ -326,24 +350,32 @@ class LevelFunction:
     def __repr__(self) -> str:
         return f"LevelFunction({self.weight!r})"
 
-    def eval(self, a: float, b: float) -> float:
-        """Single-pair evaluation; only valid for single-term weights."""
+    def eval(self, a: float, b: float, bound: float = math.inf) -> float:
+        """Single-pair evaluation; only valid for single-term weights.  inf
+        when the forward test proves the level above bound."""
         if len(self._terms) != 1:
             raise ValueError(f"{self.weight!r} has {len(self._terms)} terms; "
                              "use eval_terms with one (a, b) pair per term")
-        level, param, coeff = self._terms[0]
+        level, forward, param, coeff = self._terms[0]
+        if forward is not None and bound < math.inf and _above(forward, param, coeff, a, b, bound):
+            return math.inf
         return level(param, a, b) / coeff
 
-    def eval_terms(self, pairs: list[tuple[float, float]]) -> float:
-        """Minimum over per-term evaluations, one (a, b) pair per term."""
+    def eval_terms(self, pairs: list[tuple[float, float]], bound: float = math.inf) -> float:
+        """Minimum over per-term evaluations, one (a, b) pair per term; inf
+        or the minimum when that exceeds a finite bound, which (tightened by
+        the smallest term so far) spares the terms proven above it."""
         if len(pairs) != len(self._terms):
             raise ValueError(f"expected {len(self._terms)} (a, b) pairs, got {len(pairs)}")
         best = math.inf  # a loop: min() over a generator doubles a 1-term cost
-        for (level, param, coeff), (a, b) in zip(self._terms, pairs):
+        for (level, forward, param, coeff), (a, b) in zip(self._terms, pairs):
+            if forward is not None and bound < math.inf and _above(
+                    forward, param, coeff, a, b, min(best, bound)):
+                continue
             t = level(param, a, b) / coeff
             if t < best:
                 best = t
-        return best
+        return best if best <= bound else math.inf
 
 
 # --- the compact CLI grammar -------------------------------------------------

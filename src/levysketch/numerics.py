@@ -62,6 +62,11 @@ class Tolerance:
         if self.max_iter < 1:
             raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
 
+    def residual(self, target: float) -> float:
+        """Accepted |f(x) - target|: rel * |target| under abs, else the larger."""
+        scaled = self.rel * abs(target)
+        return scaled if abs(target) < self.abs else max(self.abs, scaled)
+
 
 DEFAULT_TOLERANCE = Tolerance()
 
@@ -111,8 +116,10 @@ def solve_monotone_increasing(
     Maintains a hard bracket at all times, so the result is always inside it.
     Between bisection steps the next probe comes from a Newton step when df
     is given, otherwise from an Illinois-damped secant; any probe that falls
-    outside the open bracket is replaced by the midpoint.  Stops when the
-    residual or the bracket width meets the tolerance.
+    outside the open bracket is replaced by the midpoint, as is a Newton step
+    once three in a row fail to halve the step before last (rtsafe bisects
+    after one, which moves converging solves).  Stops when the residual or
+    the bracket width meets the tolerance.
     """
     lo, hi = bracket
     if not (lo <= hi):
@@ -124,9 +131,11 @@ def solve_monotone_increasing(
     if fhi < target:
         raise BracketError(f"f(hi) = {fhi} is below target {target}")
 
-    resid_tol = max(tol.abs, tol.rel * abs(target))
+    resid_tol = tol.residual(target)
     # Illinois bookkeeping: which endpoint survived the previous update.
     last_side = 0
+    # Newton bookkeeping: the step before last, and the slow steps in a row.
+    step, step_before, slow = hi - lo, hi - lo, 0
 
     if x0 is not None and lo < x0 < hi:
         x = x0
@@ -156,11 +165,15 @@ def solve_monotone_increasing(
         if df is not None:
             slope = df(x)
             x_next = x - (fx - target) / slope if slope > 0.0 else math.inf
+            slow = slow + 1 if abs(x_next - x) > 0.5 * step_before else 0
+            if slow >= 3:
+                x_next = math.inf
         else:
             denom = fhi - flo
             x_next = lo + (target - flo) * (hi - lo) / denom if denom > 0.0 else math.inf
         if not (lo < x_next < hi):
             x_next = 0.5 * (lo + hi)
+        step_before, step = step, abs(x_next - x)
         x = x_next
     raise NoConvergenceError(
         f"no convergence to {target} within {tol.max_iter} iterations; "

@@ -6,10 +6,11 @@ key v with increment delta > 0 the scalar sketches compute
 
     t = l_G(Y / delta, H(v)),   Y ~ Exp(1) fresh,
 
-and keep the k smallest per-key minima (a ``KMinState``); the frontier
-sketches store the raw (Y/delta, H(v)) points instead (a ``KParetoFrontier``)
-and defer the level evaluation to query time, which lets a single sketch
-answer for *any* weight function.
+and keep the k smallest per-key minima (a ``KMinState``), root-solving only
+the candidates that can change them (see level.py).  The frontier sketches
+store the raw (Y/delta, H(v)) points instead (a ``KParetoFrontier``) and
+defer the level evaluation to query time, in full, which lets a single
+sketch answer for *any* weight function.
 
 * WorSampler    -- k-entry sketch sampling k distinct keys without
                    replacement, ordered by the sequential-ratio law.
@@ -39,6 +40,7 @@ that round-trips bit-exactly; a malformed frame raises ``FrameError``.
 
 from __future__ import annotations
 
+import math
 import struct
 from bisect import bisect_left
 from dataclasses import dataclass
@@ -115,6 +117,10 @@ class KMinState:
 
     def __len__(self) -> int:
         return len(self._h)
+
+    def threshold(self, key: int) -> float:
+        """The value a candidate for key must not exceed to change the state."""
+        return self._h.get(key, self._worst[0] if self._worst else math.inf)
 
     def _largest(self) -> tuple[float, int]:
         return max((h, key) for key, h in self._h.items())
@@ -250,7 +256,8 @@ def _level_draw(sketch, key: int, delta: float) -> float:
 
     Each term of the weight function draws its own fresh exponential and its
     own hash of the key under salt base + j (the sketch's oracle itself for
-    j = 0); the candidate is the term minimum.
+    j = 0); the candidate is the term minimum, bounded by the state's
+    threshold for key.
     """
     _check_update(key, delta)
     level, oracle, rng = sketch.level, sketch.oracle, sketch.fresh
@@ -259,7 +266,7 @@ def _level_draw(sketch, key: int, delta: float) -> float:
         y = fresh_exp(rng)
         salted = oracle.with_salt(oracle.salt + j) if j else oracle
         pairs.append((y / delta, hash_unit(salted, key)))
-    return level.eval_terms(pairs)
+    return level.eval_terms(pairs, sketch.state.threshold(key))
 
 
 def _frontier_insert(sketch, key: int, delta: float) -> None:

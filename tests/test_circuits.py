@@ -2,11 +2,15 @@
 
 import math
 import random
+import struct
 from collections import Counter
 
 import pytest
 
 from levysketch.circuits import (
+    SALT_EDGE_LOG,
+    SALT_EDGE_SOFTCAP,
+    SALT_VERTEX_SQRT,
     Circuit,
     EdgeSampler,
     EdgeSamplerSpec,
@@ -14,10 +18,11 @@ from levysketch.circuits import (
     InputGate,
     OutputGate,
     ScalarGate,
+    build_edge_sampler,
     build_flat_circuit,
     edge_weight,
 )
-from levysketch.level import F0, F1, FHalf, Log, LevelFunction, KilledDriftSum
+from levysketch.level import F0, F1, FHalf, Log, LevelFunction, KilledDriftSum, SoftCap
 from levysketch.oracle import (
     chi_square_gof,
     exact_edge_distribution,
@@ -230,7 +235,8 @@ def test_scalar_gate_halves_rate():
     assert ks_test_exponential(values, 2.0 * mass).passed
 
 
-_REFERENCE_LEVELS = (LevelFunction(F0()), F1_LEVEL, FHALF_LEVEL, LevelFunction(Log()))
+_REFERENCE_LEVELS = (LevelFunction(F0()), F1_LEVEL, FHALF_LEVEL, LevelFunction(Log()),
+                     LevelFunction(SoftCap(0.5)))
 
 
 def _random_circuit(rnd):
@@ -286,37 +292,82 @@ def _random_circuit(rnd):
     return c, wires
 
 
+def _hub_edge_sampler():
+    """An edge-sampler circuit on a hub of degree 26 with rim edges, and by
+    hand, from the construction's definition, each input gate's wires."""
+    leaves = range(1, 25)
+    edges = [(0, v) for v in leaves] + [(0, 1, 2), (0, 3, 4, 5), (1, 2), (6, 7)]
+    spec = EdgeSamplerSpec(tuple(range(25)), tuple(edges))
+    sqrt_level, softcap_level = LevelFunction(FHalf()), LevelFunction(SoftCap(1.0))
+    log_level = LevelFunction(Log())
+    wires = {}
+    for v in spec.vertices:
+        for e in spec.canonical_edges():
+            if v in e:
+                edge = struct.pack(f"<{len(e)}Q", *e)
+                vertex_edge = struct.pack(f"<{1 + len(e)}Q", v, *e)
+                wires.setdefault(("in", v), []).extend([
+                    ([("g", sqrt_level, SALT_VERTEX_SQRT, vertex_edge),
+                      ("g", log_level, SALT_EDGE_LOG, edge)], "out", e),
+                    ([("g", softcap_level, SALT_EDGE_SOFTCAP, edge), ("s", 2.0)], "out", e)])
+    return build_edge_sampler(spec), wires
+
+
+def _check_against_reference(c, wires, rnd, oracles, gates, tiny):
+    """Feed c one update per entry of gates and recompute every output by
+    hand after every update: one fresh draw per wire in declaration order,
+    pushed through that wire's gates."""
+    fresh, ref_fresh = FreshSource(oracles[0].seed), FreshSource(oracles[0].seed)
+    state = {}
+    for gate in gates:
+        # gate seeds follow the oracle each update is given
+        oracle = rnd.choice(oracles)
+        delta = 1e-310 if rnd.random() < tiny else rnd.uniform(0.1, 5.0)
+        c.update(gate, delta, fresh, oracle)
+        for ops, out, label in wires[gate]:
+            value = fresh_exp(ref_fresh) / delta
+            for op in ops:
+                if op[0] == "s":
+                    value /= op[1]
+                else:
+                    _, level, salt, scope = op
+                    salted = OracleHash(oracle.seed, salt)
+                    u = (hash_unit_bytes(salted, scope) if isinstance(scope, bytes)
+                         else hash_unit(salted, scope))
+                    value = level.eval(value, u)
+            if out not in state or (value, label) < state[out][::-1]:
+                state[out] = (label, value)
+        for out in c.output_gate_ids():
+            assert c.output(out) == state.get(out)
+
+
 def test_propagation_matches_reference():
-    # every output recomputed by hand after every update: one fresh draw per
-    # wire in declaration order, pushed through that wire's gates
     for i in range(60):
         rnd = random.Random(i)
         c, wires = _random_circuit(rnd)
         assert c.validate() is None
-        oracles = (_oracle(600_000 + i), _oracle(700_000 + i))
-        fresh, ref_fresh = FreshSource(oracles[0].seed), FreshSource(oracles[0].seed)
-        state = {}
-        for _ in range(rnd.randint(1, 12)):
-            # gate seeds follow the oracle each update is given
-            oracle = rnd.choice(oracles)
-            gate = rnd.choice(sorted(wires))
-            delta = 1e-310 if rnd.random() < 0.2 else rnd.uniform(0.1, 5.0)
-            c.update(gate, delta, fresh, oracle)
-            for ops, out, label in wires[gate]:
-                value = fresh_exp(ref_fresh) / delta
-                for op in ops:
-                    if op[0] == "s":
-                        value /= op[1]
-                    else:
-                        _, level, salt, scope = op
-                        salted = OracleHash(oracle.seed, salt)
-                        u = (hash_unit_bytes(salted, scope) if isinstance(scope, bytes)
-                             else hash_unit(salted, scope))
-                        value = level.eval(value, u)
-                if out not in state or (value, label) < state[out][::-1]:
-                    state[out] = (label, value)
-            for out in ("o0", "o1"):
-                assert c.output(out) == state.get(out)
+        gates = [rnd.choice(sorted(wires)) for _ in range(rnd.randint(1, 12))]
+        _check_against_reference(c, wires, rnd, (_oracle(600_000 + i), _oracle(700_000 + i)),
+                                 gates, tiny=0.2)
+    # a hub: most candidates there cannot change the output and go unsolved
+    rnd = random.Random(60)
+    c, wires = _hub_edge_sampler()
+    gates = [("in", 0) if rnd.random() < 0.3 else rnd.choice(sorted(wires))
+             for _ in range(320)]
+    _check_against_reference(c, wires, rnd, (_oracle(600_060), _oracle(700_060)),
+                             gates, tiny=0.02)
+
+
+def test_rejected_candidates_do_not_reach_the_solver(solver_calls):
+    # only the soft-cap and log gates whose value can change the output are
+    # root-solved: on a 20-star with a Zipf stream, a few updates solve
+    rnd = random.Random(126)
+    spec = EdgeSamplerSpec(tuple(range(21)), tuple((0, v) for v in range(1, 21)))
+    s = EdgeSampler(spec, _oracle(127))
+    zipf = [1.0 / (i + 1) ** 1.1 for i in range(21)]
+    for v in rnd.choices(range(21), zipf, k=2_000):
+        s.update(v, 10.0 ** rnd.uniform(-3.0, 3.0))
+    assert solver_calls["n"] < 0.05 * 2_000
 
 
 def test_spec_validation():

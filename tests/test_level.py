@@ -32,7 +32,7 @@ from levysketch.level import (
     weight_value,
 )
 import levysketch.level as level_module
-from levysketch.numerics import poisson_tail, regularized_gamma_q
+from levysketch.numerics import DEFAULT_TOLERANCE, poisson_tail, regularized_gamma_q
 from levysketch.oracle import ks_test_exponential
 from levysketch.randomness import FreshSource, fresh_exp, parse_seed
 
@@ -412,3 +412,96 @@ def test_weight_layer_properties(weight, z, pairs):
     expected = min(_CLOSED[k][1](p, a, b) / coeff
                    for (k, p, coeff), (a, b) in zip(scaled, pairs))
     assert LevelFunction(g).eval_terms(pairs) == expected
+
+
+# --- the bound contract: record-only evaluation ------------------------------
+
+_BOUNDED = ("log", "softcap:0.5", "softcap:1", "softcap:2", "scale:3:log",
+            "sum:c=1,g0=1,atoms=2x0.5")
+
+
+def _nudged(level, nudge, sign):
+    if nudge == "ulp":
+        return math.nextafter(level, sign * math.inf)
+    return level * (1.0 + sign * nudge)
+
+
+@settings(max_examples=400, deadline=None)
+@given(grammar=st.sampled_from(_BOUNDED),
+       pairs=st.lists(st.tuples(st.floats(-6.0, 12.0).map(lambda e: 10.0 ** e),
+                                st.floats(2.0 ** -53, 1.0 - 2.0 ** -53,
+                                          exclude_min=True, exclude_max=True)),
+                      min_size=3, max_size=3))
+def test_bounded_evaluation_is_the_level_or_inf(grammar, pairs):
+    # under any bound the evaluation returns the full level bit for bit, or
+    # inf where the full level lies above the bound; a bound equal to the
+    # level never rejects, since the (h, key) tie-break needs the tie
+    level = LevelFunction(parse_weight(grammar))
+    pairs = pairs[:level.term_count]
+    full = level.eval_terms(pairs)
+    for nudge in ("ulp", 0.0, 1e-12, 1e-9, 1e-3):
+        for sign in (-1.0, 1.0):
+            bound = _nudged(full, nudge, sign)
+            results = [level.eval_terms(pairs, bound)]
+            if level.single_hash:
+                results.append(level.eval(*pairs[0], bound))
+            for r in results:
+                assert r == full or (r == math.inf and full > bound), (bound, r)
+                if bound >= full:
+                    assert r == full
+
+
+def test_bound_rejects_without_solving(solver_calls):
+    for grammar in ("log", "softcap:1", "scale:3:log"):
+        level = LevelFunction(parse_weight(grammar))
+        full = level.eval(2.0, 0.4)
+        solver_calls.clear()
+        assert level.eval(2.0, 0.4, full / 2) == math.inf
+        assert level.eval_terms([(2.0, 0.4)], full / 2) == math.inf
+        assert solver_calls["n"] == 0
+        assert level.eval(2.0, 0.4, full) == full
+        assert solver_calls["n"] == 1
+    # the running term minimum bounds the later terms
+    level = LevelFunction(parse_weight("sum:c=1,g0=0,atoms=1x1"))
+    killed = eval_f0(1.0, 0.1)
+    solver_calls.clear()
+    assert level.eval_terms([(1.0, 0.1), (5.0, 0.9)], 10.0) == killed
+    assert solver_calls["n"] == 0
+    # past _CENTRED, where levels are their centres: a = inf (a subnormal
+    # delta) keeps level inf, and softcap's 2e300 lies above a bound of 1
+    assert LevelFunction(Log()).eval(math.inf, 0.3, 1.0) == math.inf
+    assert LevelFunction(SoftCap(0.5)).eval(1e300, 0.3, 1.0) == math.inf
+    assert LevelFunction(SoftCap(0.5)).eval(1e300, 0.3, 3e300) == 2e300
+
+
+def test_bound_keeps_domain_errors():
+    for g in (Log(), SoftCap(1.0)):
+        level = LevelFunction(g)
+        for a, b in ((-1.0, 0.5), (0.0, 0.5), (1.0, 0.0), (1.0, 1.0), (math.nan, 0.5)):
+            with pytest.raises(ValueError):
+                level.eval(a, b, 1e-3)
+
+
+def _within_tolerance(forward, w, b):
+    """w is where a solver stopping at DEFAULT_TOLERANCE may stop for
+    forward(w) = b: inside one stopping width of the crossing, up to the
+    residual."""
+    tol = DEFAULT_TOLERANCE
+    width, resid = tol.abs + tol.rel * w, tol.residual(b)
+    return forward(w - width) <= b + resid and forward(w + width) >= b - resid
+
+
+def test_softcap_converges_at_large_shapes():
+    # Newton steps with a poor slope crawl across the bracket at these
+    # shapes; three slow steps in a row now bisect
+    for a in (3.16e10, 1e13):
+        w = eval_softcap(1.0, a, 1e-9)
+        assert _within_tolerance(lambda x: poisson_tail(math.ceil(a), x), w, 1e-9)
+
+
+def test_log_resolves_targets_below_the_absolute_tolerance():
+    # a target below tol.abs is met to tol.rel of itself, not to tol.abs
+    b = 2.0 ** -64
+    w = eval_log(1e16, b)
+    assert regularized_gamma_q(w, 1e16) > 0.0
+    assert _within_tolerance(lambda x: regularized_gamma_q(x, 1e16), w, b)

@@ -738,27 +738,58 @@ _REPLAY_TERMS = {
 @pytest.mark.parametrize("grammar", sorted(_REPLAY_TERMS))
 def test_candidates_replay_from_the_definitions(grammar):
     # per update and term j: a fresh Exp(1) draw, then the key's hash under
-    # salt base + j; the candidate is the minimum of eval_<kind>(...) / coeff
+    # salt base + j; the candidate is the minimum of eval_<kind>(...) / coeff.
+    # The long stream rejects most candidates unsolved, and its 1e-310
+    # deltas push a to inf.
     base_salt = 5
-    oracle = OracleHash(derive_seed(SEED, 120), base_salt)
-    level = LevelFunction(parse_weight(grammar))
-    gs, wor = GSampler(level, oracle), WorSampler(3, level, oracle)
-    fresh = FreshSource(oracle.seed)
-    minima = {}
-    rnd = random.Random(121)
-    for _ in range(60):
-        key, delta = rnd.randrange(12), rnd.uniform(0.05, 5.0)
-        gs.update(key, delta)
-        wor.update(key, delta)
-        candidate = math.inf
-        for j, (evaluate, coeff) in enumerate(_REPLAY_TERMS[grammar]):
-            y = fresh_exp(fresh)
-            b = hash_unit(OracleHash(oracle.seed, base_salt + j), key)
-            candidate = min(candidate, evaluate(y / delta, b) / coeff)
-        minima[key] = min(minima.get(key, math.inf), candidate)
-    ranked = sorted((h, key) for key, h in minima.items())
-    assert gs.query() == (ranked[0][1], ranked[0][0])
-    assert wor.query() == [(key, h) for h, key in ranked[:3]]
+    streams = ((60, 12, 0.0, 121), (2_000, 300, 0.01, 123))
+    for updates, keys, tiny, stream_seed in streams:
+        oracle = OracleHash(derive_seed(SEED, 120), base_salt)
+        level = LevelFunction(parse_weight(grammar))
+        sketches = [GSampler(level, oracle), WorSampler(3, level, oracle),
+                    WorSampler(8, level, oracle)]
+        fresh = FreshSource(oracle.seed)
+        minima = {}
+        rnd = random.Random(stream_seed)
+        for _ in range(updates):
+            key, delta = rnd.randrange(keys), rnd.uniform(0.05, 5.0)
+            if rnd.random() < tiny:
+                delta = 1e-310
+            for s in sketches:
+                s.update(key, delta)
+            candidate = math.inf
+            for j, (evaluate, coeff) in enumerate(_REPLAY_TERMS[grammar]):
+                y = fresh_exp(fresh)
+                b = hash_unit(OracleHash(oracle.seed, base_salt + j), key)
+                candidate = min(candidate, evaluate(y / delta, b) / coeff)
+            minima[key] = min(minima.get(key, math.inf), candidate)
+        ranked = sorted((h, key) for key, h in minima.items())
+        assert sketches[0].query() == (ranked[0][1], ranked[0][0])
+        assert sketches[1].query() == [(key, h) for h, key in ranked[:3]]
+        assert sketches[2].query() == [(key, h) for h, key in ranked[:8]]
+
+
+def test_kmin_threshold():
+    # the value a candidate must not exceed to change the state
+    state = KMinState(2)
+    assert state.threshold(5) == math.inf
+    state.offer(5, 3.0)
+    assert state.threshold(5) == 3.0
+    assert state.threshold(6) == math.inf  # not full yet
+    state.offer(6, 1.0)
+    assert state.threshold(7) == 3.0
+    assert state.threshold(6) == 1.0
+
+
+def test_rejected_candidates_do_not_reach_the_solver(solver_calls):
+    # only candidates that can change the state are root-solved: a log
+    # GSampler on a Zipf stream solves for a few of its updates
+    rnd = random.Random(124)
+    zipf = [1.0 / (i + 1) ** 1.1 for i in range(1_000)]
+    s = GSampler(LevelFunction(Log()), _oracle(125))
+    for key in rnd.choices(range(1_000), zipf, k=2_000):
+        s.update(key, 10.0 ** rnd.uniform(-3.0, 3.0))
+    assert solver_calls["n"] < 0.05 * 2_000
 
 
 @pytest.mark.parametrize("g, same", [
