@@ -9,8 +9,11 @@ key v with increment delta > 0 the scalar sketches compute
 and keep the k smallest per-key minima (a ``KMinState``), root-solving only
 the candidates that can change them (see level.py).  The frontier sketches
 store the raw (Y/delta, H(v)) points instead (a ``KParetoFrontier``) and
-defer the level evaluation to query time, in full, which lets a single
-sketch answer for *any* weight function.
+defer the level evaluation to query time, which lets a single sketch answer
+for *any* weight function.  A top-k query bounds each point's evaluation by
+the running k-th value, so it solves only the points that can still enter;
+``KParetoFrontier.ranked`` keeps the full evaluation as the reference the
+checks compare against.
 
 * WorSampler    -- k-entry sketch sampling k distinct keys without
                    replacement, ordered by the sequential-ratio law.
@@ -42,8 +45,9 @@ from __future__ import annotations
 
 import math
 import struct
-from bisect import bisect_left
+from bisect import bisect_left, insort
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import NamedTuple, Optional
 
 from .level import LevelFunction
@@ -241,14 +245,39 @@ class KParetoFrontier:
             self.insert(t)
 
     def ranked(self, level: LevelFunction) -> list[tuple[float, int]]:
-        """(l_G(a, b), key) for every retained point, ascending."""
-        if not level.single_hash:
-            raise ValueError(
-                "frontier queries need a single-hash weight function; "
-                "composites store one hash per term and cannot be answered "
-                "from a single frontier"
-            )
+        """(l_G(a, b), key) for every retained point, ascending: the full
+        evaluation that top must agree with."""
+        _check_single_hash(level)
         return sorted((level.eval(t.a, t.b), t.key) for t in self._tuples)
+
+    def top(self, level: LevelFunction, k: int) -> list[tuple[float, int]]:
+        """The k smallest (l_G(a, b), key), ascending; equal to ranked(level)[:k].
+
+        Points are evaluated by ascending b under the running k-th value as
+        the bound, so a point whose level is proven above it is never
+        solved.  Such a point is strictly above the k-th value, and a tie is
+        solved, so the (value, key) order is that of ranked.
+        """
+        _check_single_hash(level)
+        if k < 1:
+            raise ValueError(f"k must be >= 1, got {k}")
+        best: list[tuple[float, int]] = []
+        bound = math.inf
+        for t in sorted(self._tuples, key=attrgetter("b")):
+            insort(best, (level.eval(t.a, t.b, bound), t.key))
+            if len(best) >= k:
+                del best[k:]
+                bound = best[-1][0]
+        return best
+
+
+def _check_single_hash(level: LevelFunction) -> None:
+    if not level.single_hash:
+        raise ValueError(
+            "frontier queries need a single-hash weight function; "
+            "composites store one hash per term and cannot be answered "
+            "from a single frontier"
+        )
 
 
 def _level_draw(sketch, key: int, delta: float) -> float:
@@ -332,8 +361,8 @@ class ParetoSampler:
 
     def query(self, level: LevelFunction) -> Optional[tuple[int, float]]:
         """Key and value minimizing l_G(a, b) over the frontier."""
-        ranked = self.frontier.ranked(level)
-        return (ranked[0][1], ranked[0][0]) if ranked else None
+        top = self.frontier.top(level, 1)
+        return (top[0][1], top[0][0]) if top else None
 
     def merge_from(self, other: "ParetoSampler") -> None:
         _check_mergeable(self, other)
@@ -410,9 +439,9 @@ class KParetoSampler:
         """The k keys with smallest level value, ascending; fewer if fewer
         keys were seen."""
         k = self.k if k is None else k
-        if k > self.k:
-            raise ValueError(f"query k={k} exceeds sketch capacity k={self.k}")
-        return [key for _, key in self.frontier.ranked(level)[:k]]
+        if not 1 <= k <= self.k:
+            raise ValueError(f"query k={k} is outside [1, {self.k}], the sketch's capacity")
+        return [key for _, key in self.frontier.top(level, k)]
 
     def merge_from(self, other: "KParetoSampler") -> None:
         _check_mergeable(self, other)

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from levysketch.level import (
+    CATALOGUE,
     F0,
     F1,
     FHalf,
@@ -493,6 +494,18 @@ def test_kpareto_query_k_too_large():
         s.query(LevelFunction(F1()), 3)
 
 
+@pytest.mark.parametrize("k", [0, -1])
+def test_kpareto_query_k_below_one(k):
+    # a slice by a non-positive k would return keys, not an error
+    s = KParetoSampler(2, _oracle(9))
+    for key in range(6):
+        s.update(key, 1.0)
+    with pytest.raises(ValueError):
+        s.query(LevelFunction(Log()), k)
+    with pytest.raises(ValueError):
+        s.frontier.top(LevelFunction(Log()), k)
+
+
 def test_kpareto_uniform_orderings():
     # three equal masses, k = 3: all 6 orderings equiprobable
     counts = Counter()
@@ -819,6 +832,23 @@ def test_pareto_query_tie_break_smaller_key():
     assert s.query(LevelFunction(F1())) == (3, 1.0)
 
 
+def test_top_keeps_a_point_just_below_the_bound():
+    # walked by ascending b, key 1 sets the bound; key 2's level sits a
+    # relative 1e-6 below it, so the bounded evaluation must solve it
+    first = ParetoTuple(4.0, 0.3, 1)
+    target = eval_log(first.a, first.b) * (1.0 - 1e-6)
+    lo, hi = 1e-3, first.a  # eval_log rises in a: bisect for the target
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if eval_log(mid, 0.6) < target else (lo, mid)
+    second = ParetoTuple(lo, 0.6, 2)
+    f = KParetoFrontier(1)
+    f.insert(first)
+    f.insert(second)
+    level = LevelFunction(Log())
+    assert f.top(level, 1) == f.ranked(level)[:1] == [(eval_log(lo, 0.6), 2)]
+
+
 def _skyband_by_recount(points, k):
     """Each key's smallest-a point, kept if fewer than k of those points
     dominate it, with its dominator count; every pair recounted."""
@@ -863,3 +893,38 @@ def test_kfrontier_counts_match_recount(k, b_of_key, stream, cut):
         right.insert(t)
     left.merge_from(right)
     assert left.tuples() == f.tuples()
+
+
+_TOP_LEVELS = [LevelFunction(g) for g in CATALOGUE] + [
+    LevelFunction(parse_weight(w)) for w in ("scale:3:log", "scale:0.25:softcap:1")]
+
+
+@settings(max_examples=300, deadline=None)
+@given(k=st.sampled_from((1, 2, 3, 8)), seed=st.integers(0, 2**32 - 1),
+       n_keys=st.integers(1, 40), n_updates=st.integers(0, 150))
+def test_bounded_top_equals_full_ranking(k, seed, n_keys, n_updates):
+    # repeated keys, and about 3% subnormal deltas, whose points have a = inf
+    rnd = random.Random(seed)
+    s = KParetoSampler(k, _oracle(seed))
+    for _ in range(n_updates):
+        delta = 1e-310 if rnd.random() < 0.03 else 10.0 ** rnd.uniform(-2.0, 2.0)
+        s.update(rnd.randrange(n_keys), delta)
+    for level in _TOP_LEVELS:
+        ranked = s.frontier.ranked(level)
+        for j in range(1, k + 1):
+            assert s.frontier.top(level, j) == ranked[:j]
+
+
+def test_bounded_query_solves_under_half_the_frontier(solver_calls):
+    # full evaluation solves every retained point under log; a top-8 query
+    # solves only those that can still enter the running top 8
+    rnd = random.Random(126)
+    s = KParetoSampler(8, _oracle(127))
+    for key in range(3_000):
+        s.update(key, 10.0 ** rnd.uniform(-2.0, 2.0))
+    level = LevelFunction(Log())
+    expected = s.frontier.ranked(level)[:8]
+    assert solver_calls["n"] == len(s.frontier)
+    solver_calls.clear()
+    assert [key for _, key in expected] == s.query(level)
+    assert solver_calls["n"] <= len(s.frontier) / 2
