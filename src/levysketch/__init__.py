@@ -30,6 +30,7 @@ from .samplers import (
     Update,
     WorSampler,
     deserialize,
+    replay,
 )
 from .circuits import EdgeSampler, EdgeSamplerSpec, build_edge_sampler, edge_weight
 

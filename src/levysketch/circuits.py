@@ -53,6 +53,8 @@ __all__ = [
     "Gate",
     "CircuitViolation",
     "Circuit",
+    "CircuitSketch",
+    "EdgeSampler",
     "EdgeSamplerSpec",
     "build_edge_sampler",
     "build_flat_circuit",
@@ -330,6 +332,9 @@ class EdgeSamplerSpec:
     edges: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
+        for v in self.vertices:  # edge scopes pack vertices as G-gate int scopes
+            if not (isinstance(v, int) and 0 <= v < 1 << 64):
+                raise ValueError(f"vertex ids must be ints in [0, 2^64), got {v!r}")
         vertex_set = set(self.vertices)
         if len(vertex_set) != len(self.vertices):
             raise ValueError("duplicate vertices")
@@ -414,20 +419,37 @@ def build_edge_sampler(spec: EdgeSamplerSpec) -> Circuit:
     return c
 
 
-class EdgeSampler:
-    """Streaming wrapper around the edge-sampling circuit."""
+class CircuitSketch:
+    """A circuit as a sketch: update(key, delta) feeds the key's input gate,
+    if any (a key without one cannot change an output), and query() is one
+    output gate's (identifier, value).  Construction clears the circuit's
+    state, so one circuit can serve one run after another."""
+
+    def __init__(self, circuit: Circuit, inputs: dict, output_id,
+                 oracle: OracleHash = OracleHash(), fresh: Optional[FreshSource] = None):
+        circuit.reset_state()
+        self.circuit = circuit
+        self.inputs = inputs
+        self.output_id = output_id
+        self.oracle = oracle
+        self.fresh = fresh if fresh is not None else FreshSource(oracle.seed)
+
+    def update(self, key, delta: float) -> None:
+        gate = self.inputs.get(key)
+        if gate is not None:
+            self.circuit.update(gate, delta, self.fresh, self.oracle)
+
+    def query(self) -> Optional[tuple[object, float]]:
+        return self.circuit.output(self.output_id)
+
+
+class EdgeSampler(CircuitSketch):
+    """The edge-sampling circuit as a sketch over vertex updates; an isolated
+    vertex has no input gate, so its updates are ignored."""
 
     def __init__(self, spec: EdgeSamplerSpec, oracle: OracleHash = OracleHash(),
                  fresh: Optional[FreshSource] = None):
+        circuit = build_edge_sampler(spec)
+        inputs = {v: ("in", v) for v in spec.vertices if ("in", v) in circuit.gates}
+        super().__init__(circuit, inputs, "out", oracle, fresh)
         self.spec = spec
-        self.oracle = oracle
-        self.fresh = fresh if fresh is not None else FreshSource(oracle.seed)
-        self.circuit = build_edge_sampler(spec)
-
-    def update(self, vertex: int, delta: float) -> None:
-        if ("in", vertex) not in self.circuit.gates:
-            return  # no incident edge: the update cannot affect any weight
-        self.circuit.update(("in", vertex), delta, self.fresh, self.oracle)
-
-    def query(self) -> Optional[tuple[tuple[int, ...], float]]:
-        return self.circuit.output("out")

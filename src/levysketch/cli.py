@@ -12,9 +12,10 @@ order, so identical inputs give byte-identical output):
                      frequencies with the closed-form ratios.
 
 Streams are UTF-8 lines ``key delta`` (``#`` comments and blank lines
-ignored).  Decimal keys are used as 64-bit ids directly; anything else is
-hashed to an id (collisions are negligible at desk scale).  The seed comes
-from ``--seed``, else the LEVY_SEED environment variable, else zero.
+ignored).  Decimal keys (ASCII digits) are used as 64-bit ids directly;
+anything else is hashed to an id (collisions are negligible at desk scale).
+The seed comes from ``--seed``, else the LEVY_SEED environment variable, else
+zero.
 
 Exit codes: 0 success / all checks passed, 1 verification failure,
 2 usage or parse errors.
@@ -33,19 +34,12 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Optional
 
-from .circuits import Circuit, EdgeSampler, EdgeSamplerSpec, GGate, InputGate, \
-    OutputGate, ScalarGate
+from .circuits import Circuit, CircuitSketch, EdgeSampler, EdgeSamplerSpec, GGate, \
+    InputGate, OutputGate, ScalarGate, build_edge_sampler
 from .level import LevelFunction, parse_weight
 from .oracle import UndersampledError, chi_square_gof, exact_edge_distribution
-from .randomness import (
-    DEFAULT_SEED,
-    FreshSource,
-    OracleHash,
-    derive_seed,
-    key_for_string,
-    parse_seed,
-)
-from .samplers import GSampler, KParetoSampler, ParetoSampler, WorSampler
+from .randomness import DEFAULT_SEED, FreshSource, key_for_string, parse_seed
+from .samplers import GSampler, KParetoSampler, ParetoSampler, WorSampler, replay
 
 __all__ = ["main", "cmd_sample", "cmd_verify", "cmd_edge_sample",
            "StreamRecord", "parse_stream", "load_circuit_file"]
@@ -66,8 +60,13 @@ class StreamRecord:
     delta: float
 
 
+def _is_decimal(token: str) -> bool:
+    # str.isdigit alone accepts non-ASCII digits such as '\u0661' and '\u00b2'
+    return token.isascii() and token.isdigit()
+
+
 def _key_id(token: str, seed: bytes) -> int:
-    if token.isdigit() and int(token) < (1 << 64):
+    if _is_decimal(token) and int(token) < (1 << 64):
         return int(token)
     return key_for_string(seed, token)
 
@@ -155,9 +154,11 @@ def load_circuit_file(text: str, source: str = "<circuit>") -> LoadedCircuit:
             raise StreamParseError(
                 f"{source}: graph-edge shorthand cannot be mixed with explicit gates")
         vertices = tuple(sorted({v for e in edge_lines for v in e}))
-        from .circuits import build_edge_sampler
-        circuit = build_edge_sampler(EdgeSamplerSpec(vertices, tuple(edge_lines)))
-        return LoadedCircuit(circuit, {str(v): ("in", v) for v in vertices})
+        try:
+            spec = EdgeSamplerSpec(vertices, tuple(edge_lines))
+        except ValueError as exc:
+            raise StreamParseError(f"{source}: {exc}") from None
+        return LoadedCircuit(build_edge_sampler(spec), {str(v): ("in", v) for v in vertices})
     c = Circuit()
     for lineno, gate_id, kind in gate_lines:
         try:
@@ -187,12 +188,31 @@ def load_circuit_file(text: str, source: str = "<circuit>") -> LoadedCircuit:
     return LoadedCircuit(c, inputs)
 
 
-def _record_source(rep_seed: bytes, record: StreamRecord, occurrence: int) -> FreshSource:
+def _record_source(rep_seed: bytes, key: int, delta: float, occurrence: int) -> FreshSource:
     """Per-record fresh randomness: keyed to record content and occurrence
     index, so permuting the stream leaves the final state bit-identical."""
-    data = b"R" + struct.pack("<QdQ", record.key, record.delta, occurrence)
+    data = b"R" + struct.pack("<QdQ", key, delta, occurrence)
     sub = hashlib.blake2b(data, key=rep_seed, digest_size=16).digest()
     return FreshSource(sub)
+
+
+class _RecordAttached:
+    """A sketch whose updates draw their fresh randomness from the record
+    (key, delta, occurrence) instead of the stream position; everything
+    else reads through to the sketch."""
+
+    def __init__(self, sketch):
+        self.sketch = sketch
+        self._seen: Counter = Counter()
+
+    def update(self, key: int, delta: float) -> None:
+        occurrence = self._seen[(key, delta)]
+        self._seen[(key, delta)] += 1
+        self.sketch.fresh = _record_source(self.sketch.oracle.seed, key, delta, occurrence)
+        self.sketch.update(key, delta)
+
+    def __getattr__(self, name):
+        return getattr(self.sketch, name)
 
 
 @dataclass(frozen=True)
@@ -212,10 +232,6 @@ class RunConfig:
                 f"{self.attach_randomness!r}")
 
 
-def _seed_hex(seed: bytes) -> str:
-    return seed.hex()
-
-
 def _summary(values: list[float]) -> Optional[dict]:
     if not values:
         return None
@@ -226,61 +242,43 @@ def _summary(values: list[float]) -> Optional[dict]:
     }
 
 
-class _CircuitSketch:
-    """A loaded circuit behind the sketch protocol: each stream key feeds the
-    input gate named by its token, and the sample is the first output gate's
-    (identifier, value)."""
-
-    def __init__(self, circuit_text: Optional[str], records: list[StreamRecord]):
-        if circuit_text is None:
-            raise ValueError("circuit sketch requires the circuit spec file")
-        loaded = load_circuit_file(circuit_text)
-        out_ids = loaded.circuit.output_gate_ids()
-        if not out_ids:
-            raise ValueError("circuit has no output gate")
-        self.circuit = loaded.circuit
-        self._out_id = out_ids[0]
-        self._gate_of: dict[int, object] = {}
-        for r in records:
-            gate_id = loaded.input_by_token.get(r.display)
-            if gate_id is None:
-                raise ValueError(
-                    f"stream key {r.display!r} has no input gate in the circuit")
-            if self._gate_of.setdefault(r.key, gate_id) != gate_id:
-                raise ValueError(
-                    f"stream key {r.display!r} shares id {r.key} with a key "
-                    "that feeds another input gate")
-        self.oracle: Optional[OracleHash] = None
-        self.fresh: Optional[FreshSource] = None
-
-    def start(self, oracle: OracleHash) -> "_CircuitSketch":
-        self.circuit.reset_state()
-        self.oracle = oracle
-        return self
-
-    def update(self, key: int, delta: float) -> None:
-        self.circuit.update(self._gate_of[key], delta, self.fresh, self.oracle)
-
-    def query(self) -> Optional[tuple[object, float]]:
-        return self.circuit.output(self._out_id)
+def _circuit_parts(circuit_text: Optional[str], records: list[StreamRecord]) -> tuple:
+    """(circuit, stream id -> input gate, first output gate) of a circuit file:
+    each stream key feeds the input gate named by its token."""
+    if circuit_text is None:
+        raise ValueError("circuit sketch requires the circuit spec file")
+    loaded = load_circuit_file(circuit_text)
+    out_ids = loaded.circuit.output_gate_ids()
+    if not out_ids:
+        raise ValueError("circuit has no output gate")
+    gate_of: dict[int, object] = {}
+    for r in records:
+        gate_id = loaded.input_by_token.get(r.display)
+        if gate_id is None:
+            raise ValueError(f"stream key {r.display!r} has no input gate in the circuit")
+        if gate_of.setdefault(r.key, gate_id) != gate_id:
+            raise ValueError(
+                f"stream key {r.display!r} shares id {r.key} with a key "
+                "that feeds another input gate")
+    return loaded.circuit, gate_of, out_ids[0]
 
 
 def _first(out) -> tuple[list, Optional[float]]:
     return ([], None) if out is None else ([out[0]], out[1])
 
 
-# kind -> (what follows "<kind>:", build(k, level, oracle, circuit),
+# kind -> (what follows "<kind>:", make(k, level, circuit parts, oracle),
 #          outcome(sketch, level) -> (sampled keys in order, value or None))
 _KINDS = {
-    "gsampler": (None, lambda k, level, oracle, _: GSampler(level, oracle),
+    "gsampler": (None, lambda k, level, _, oracle: GSampler(level, oracle),
                  lambda s, level: _first(s.query())),
-    "pareto": (None, lambda k, level, oracle, _: ParetoSampler(oracle),
+    "pareto": (None, lambda k, level, _, oracle: ParetoSampler(oracle),
                lambda s, level: _first(s.query(level))),
-    "wor": ("k", lambda k, level, oracle, _: WorSampler(k, level, oracle),
+    "wor": ("k", lambda k, level, _, oracle: WorSampler(k, level, oracle),
             lambda s, level: (s.sample_ordered(), None)),
-    "kpareto": ("k", lambda k, level, oracle, _: KParetoSampler(k, oracle),
+    "kpareto": ("k", lambda k, level, _, oracle: KParetoSampler(k, oracle),
                 lambda s, level: (s.query(level), None)),
-    "circuit": ("file", lambda k, level, oracle, circuit: circuit.start(oracle),
+    "circuit": ("file", lambda k, level, parts, oracle: CircuitSketch(*parts, oracle),
                 lambda s, level: _first(s.query())),
 }
 
@@ -291,7 +289,7 @@ def cmd_sample(config: RunConfig, records: list[StreamRecord],
     name, sep, param = config.sketch.partition(":")
     if name not in _KINDS or bool(sep) != (_KINDS[name][0] is not None):
         raise ValueError(f"unknown sketch kind {config.sketch!r}")
-    takes, build, outcome = _KINDS[name]
+    takes, make, outcome = _KINDS[name]
     k = 1
     if takes == "k":
         try:
@@ -305,31 +303,18 @@ def cmd_sample(config: RunConfig, records: list[StreamRecord],
     display_of = {}
     for r in records:
         display_of.setdefault(r.key, r.display)
-    circuit = _CircuitSketch(circuit_text, records) if takes == "file" else None
+    parts = _circuit_parts(circuit_text, records) if takes == "file" else None
+
+    def build(oracle):
+        sketch = make(k, level, parts, oracle)
+        return sketch if config.attach_randomness == "position" else _RecordAttached(sketch)
 
     counts: Counter = Counter()
     values: list[float] = []
     frontier_sizes: list[int] = []
     empty = 0
-
-    for rep in range(config.reps):
-        rep_seed = derive_seed(config.seed, rep)
-        oracle = OracleHash(rep_seed)
-        positional = FreshSource(rep_seed)
-        occurrences: Counter = Counter()
-
-        def source_for(record: StreamRecord) -> FreshSource:
-            if config.attach_randomness == "position":
-                return positional
-            occ = occurrences[(record.key, record.delta)]
-            occurrences[(record.key, record.delta)] += 1
-            return _record_source(rep_seed, record, occ)
-
-        sketch = build(k, level, oracle, circuit)
-        for r in records:
-            sketch.fresh = source_for(r)
-            sketch.update(r.key, r.delta)
-
+    stream = [(r.key, r.delta) for r in records]
+    for sketch in replay(build, stream, config.reps, config.seed):
         keys, value = outcome(sketch, level)
         if hasattr(sketch, "frontier"):
             frontier_sizes.append(len(sketch.frontier))
@@ -347,7 +332,7 @@ def cmd_sample(config: RunConfig, records: list[StreamRecord],
         "config": {
             "sketch": config.sketch,
             "g": config.grammar,
-            "seed": _seed_hex(config.seed),
+            "seed": config.seed.hex(),
             "reps": config.reps,
             "attach_randomness": config.attach_randomness,
         },
@@ -378,15 +363,13 @@ def cmd_edge_sample(graph_text: str, records: list[StreamRecord],
     empty = 0
     vertex_set = set(spec.vertices)
     for r in records:
-        if not r.display.isdigit():
+        if not _is_decimal(r.display):
             raise StreamParseError(
                 f"edge-sample streams must use integer vertex keys, got {r.display!r}")
         masses[r.key] = masses.get(r.key, 0.0) + r.delta
-    for rep in range(config.reps):
-        rep_seed = derive_seed(config.seed, rep)
-        sampler = EdgeSampler(spec, OracleHash(rep_seed))
-        for r in records:
-            sampler.update(r.key, r.delta)
+    stream = [(r.key, r.delta) for r in records]
+    for sampler in replay(lambda oracle: EdgeSampler(spec, oracle), stream,
+                          config.reps, config.seed):
         out = sampler.query()
         if out is None:
             empty += 1
@@ -407,7 +390,7 @@ def cmd_edge_sample(graph_text: str, records: list[StreamRecord],
     return {
         "command": "edge-sample",
         "config": {
-            "seed": _seed_hex(config.seed),
+            "seed": config.seed.hex(),
             "reps": config.reps,
         },
         "graph": {
@@ -431,7 +414,7 @@ def cmd_verify(suite: str, seed: bytes, quick: bool = False) -> tuple[dict, bool
     report = {
         "command": "verify",
         "suite": suite,
-        "seed": _seed_hex(seed),
+        "seed": seed.hex(),
         "quick": quick,
         "checks": [r.as_dict() for r in results],
         "pass": all_passed,
@@ -511,15 +494,11 @@ def main(argv: Optional[list[str]] = None) -> int:
             _emit(report, args.out)
             return 0
         if args.command == "verify":
+            from .verify import CheckResult
             report, all_passed = cmd_verify(args.suite, seed, args.quick)
-            for check in report["checks"]:
-                verdict = "PASS" if check["pass"] else "FAIL"
-                line = (f"{verdict} {check['name']} "
-                        f"statistic={check['statistic']:.6g} "
-                        f"threshold={check['threshold']:.6g}")
-                if check["detail"]:
-                    line += f" ({check['detail']})"
-                print(line)
+            for c in report["checks"]:
+                print(CheckResult(c["name"], c["pass"], c["statistic"], c["threshold"],
+                                  c["detail"]).line())
             if args.out:
                 _emit(report, args.out)
             print("OK" if all_passed else "FAILED")

@@ -23,8 +23,6 @@ from scipy.stats import chi2 as _chi2
 
 from .circuits import edge_weight
 from .level import WeightFunction, weight_value
-from .randomness import OracleHash, derive_seed
-from .samplers import ParetoSampler
 
 __all__ = [
     "ExactDistribution",
@@ -35,8 +33,6 @@ __all__ = [
     "exact_edge_distribution",
     "chi_square_gof",
     "ks_test_exponential",
-    "frontier_size_stats",
-    "FrontierStats",
 ]
 
 _WOR_MAX_SUPPORT = 8
@@ -207,33 +203,3 @@ def ks_test_exponential(
         d = max(d, (i + 1) / n - cdf, cdf - i / n)
     threshold = _ks_critical(alpha, n)
     return GofReport(d, threshold, 0, d <= threshold, n)
-
-
-@dataclass(frozen=True)
-class FrontierStats:
-    """Final-size statistics of the Pareto frontier over repeated trials."""
-
-    mean: float
-    max_size: int
-    stderr: float
-    trials: int
-
-
-def frontier_size_stats(n: int, trials: int, seed: bytes) -> FrontierStats:
-    """Final frontier size over `trials` independent runs of n unit updates
-    on distinct keys.  The expected size is the n-th harmonic number."""
-    if n < 1 or trials < 1:
-        raise ValueError("n and trials must be >= 1")
-    sizes = []
-    for t in range(trials):
-        sampler = ParetoSampler(OracleHash(derive_seed(seed, t)))
-        for key in range(n):
-            sampler.update(key, 1.0)
-        sizes.append(len(sampler.frontier))
-    mean = math.fsum(sizes) / trials
-    if trials > 1:
-        var = math.fsum((s - mean) ** 2 for s in sizes) / (trials - 1)
-        stderr = math.sqrt(var / trials)
-    else:
-        stderr = 0.0
-    return FrontierStats(mean, max(sizes), stderr, trials)

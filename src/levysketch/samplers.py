@@ -48,10 +48,10 @@ import struct
 from bisect import bisect_left, insort
 from dataclasses import dataclass
 from operator import attrgetter
-from typing import NamedTuple, Optional
+from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
 from .level import LevelFunction
-from .randomness import FreshSource, OracleHash, fresh_exp, hash_unit
+from .randomness import FreshSource, OracleHash, derive_seed, fresh_exp, hash_unit
 
 __all__ = [
     "Update",
@@ -64,6 +64,7 @@ __all__ = [
     "KParetoSampler",
     "FrameError",
     "deserialize",
+    "replay",
     "MAGIC",
     "FORMAT_VERSION",
 ]
@@ -458,6 +459,25 @@ def _check_mergeable(a, b) -> None:
         raise ValueError("cannot merge sketches built with different seeds")
     if hasattr(a, "level") and a.level.weight != b.level.weight:
         raise ValueError("cannot merge sketches for different weight functions")
+
+
+def replay(build: Callable[[OracleHash], object], stream: Sequence[tuple[int, float]],
+           reps: int, seed: bytes) -> Iterator:
+    """For rep r in 0..reps-1, build(OracleHash(derive_seed(seed, r))), feed
+    the sketch every (key, delta) of the stream in order, and yield it.  Any
+    object with update(key, delta) is a sketch here, circuits included.
+    ValueError if reps < 1."""
+    if reps < 1:
+        raise ValueError(f"reps must be >= 1, got {reps}")
+
+    def sketches():
+        for rep in range(reps):
+            sketch = build(OracleHash(derive_seed(seed, rep)))
+            for key, delta in stream:
+                sketch.update(key, delta)
+            yield sketch
+
+    return sketches()
 
 
 # --- frames -------------------------------------------------------------------

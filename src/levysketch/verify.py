@@ -19,11 +19,13 @@ import math
 import random
 from collections import Counter
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Optional
 
 from scipy.special import erf
 
-from .circuits import EdgeSampler, EdgeSamplerSpec, build_flat_circuit, edge_weight
+from .circuits import CircuitSketch, EdgeSampler, EdgeSamplerSpec, build_flat_circuit, \
+    edge_weight
 from .level import (
     CATALOGUE,
     F0,
@@ -44,14 +46,14 @@ from .oracle import (
     exact_distribution,
     exact_edge_distribution,
     exact_wor_distribution,
-    frontier_size_stats,
     ks_test_exponential,
 )
 from .randomness import FreshSource, OracleHash, derive_seed, fresh_exp
-from .samplers import GSampler, KParetoSampler, ParetoSampler, WorSampler
+from .samplers import GSampler, KParetoSampler, ParetoSampler, WorSampler, replay
 
 __all__ = ["VerifyParams", "FULL_PARAMS", "QUICK_PARAMS", "CheckResult",
-           "SUITES", "run_suite", "suite_names"]
+           "FrontierStats", "frontier_size_stats", "SUITES", "run_suite",
+           "suite_names"]
 
 _LAMBDAS = (0.25, 1.0, 4.0)
 _STREAMS = {
@@ -223,21 +225,10 @@ def check_level_residuals(seed: bytes, params: VerifyParams) -> list[CheckResult
     ]
 
 
-def _run_scalar_stream(g, stream: dict, seed: bytes, reps: int):
-    """Replay a fixed stream under derived seeds; returns key counts and the
-    stored values."""
-    level = LevelFunction(g)
-    keys = sorted(stream)
-    counts: Counter = Counter()
-    values = []
-    for rep in range(reps):
-        sampler = GSampler(level, OracleHash(derive_seed(seed, rep)))
-        for key in keys:
-            sampler.update(key, stream[key])
-        key, h = sampler.query()
-        counts[key] += 1
-        values.append(h)
-    return counts, values
+def _tally(sketches) -> tuple[Counter, list]:
+    """Counts of the sketches' sampled identifiers, and their stored values."""
+    outcomes = [sketch.query() for sketch in sketches]
+    return Counter(ident for ident, _ in outcomes), [h for _, h in outcomes]
 
 
 def check_sampler_distributions(seed: bytes, params: VerifyParams) -> list[CheckResult]:
@@ -248,8 +239,9 @@ def check_sampler_distributions(seed: bytes, params: VerifyParams) -> list[Check
     results = []
     for i, (g, stream_name) in enumerate(combos):
         stream = _STREAMS[stream_name]
-        counts, values = _run_scalar_stream(g, stream, derive_seed(seed, i),
-                                            params.sampler_reps)
+        counts, values = _tally(replay(partial(GSampler, LevelFunction(g)),
+                                       sorted(stream.items()), params.sampler_reps,
+                                       derive_seed(seed, i)))
         chi = chi_square_gof(counts, exact_distribution(stream, g), alpha)
         results.append(CheckResult(
             f"samplers/law/{weight_grammar(g)}/{stream_name}",
@@ -344,15 +336,12 @@ def check_wor_law(seed: bytes, params: VerifyParams) -> list[CheckResult]:
     for gi, g in enumerate(weights):
         level = LevelFunction(g)
         g_seed = derive_seed(seed, gi)
+        stream = sorted(x.items())
         counts: Counter = Counter()
         mismatches = 0
-        for rep in range(params.wor_reps):
-            oracle = OracleHash(derive_seed(g_seed, rep))
-            wor = WorSampler(k, level, oracle)
-            kpareto = KParetoSampler(k, oracle)
-            for key in sorted(x):
-                wor.update(key, x[key])
-                kpareto.update(key, x[key])
+        for wor, kpareto in zip(
+                replay(partial(WorSampler, k, level), stream, params.wor_reps, g_seed),
+                replay(partial(KParetoSampler, k), stream, params.wor_reps, g_seed)):
             ordered = tuple(wor.sample_ordered())
             counts[ordered] += 1
             reference = [key for _, key in kpareto.frontier.ranked(level)[:k]]
@@ -379,15 +368,8 @@ def check_edge_sampling(seed: bytes, params: VerifyParams) -> list[CheckResult]:
     """Edge frequencies on the triangle must match the closed-form weight
     ratios, and the stored value must be Exp(total edge weight)."""
     exact = exact_edge_distribution(_TRIANGLE.edges, _TRIANGLE_MASSES)
-    counts: Counter = Counter()
-    values = []
-    for rep in range(params.edge_reps):
-        sampler = EdgeSampler(_TRIANGLE, OracleHash(derive_seed(seed, rep)))
-        for v in sorted(_TRIANGLE_MASSES):
-            sampler.update(v, _TRIANGLE_MASSES[v])
-        edge, h = sampler.query()
-        counts[edge] += 1
-        values.append(h)
+    counts, values = _tally(replay(partial(EdgeSampler, _TRIANGLE),
+                                   sorted(_TRIANGLE_MASSES.items()), params.edge_reps, seed))
     alpha = params.significance / 2
     chi = chi_square_gof(counts, exact, alpha)
     total_rate = math.fsum(
@@ -407,12 +389,8 @@ def check_hyperedge_sampling(seed: bytes, params: VerifyParams) -> list[CheckRes
     spec = EdgeSamplerSpec((1, 2, 3, 4), ((1, 2, 3), (2, 3, 4)))
     masses = {1: 1.0, 2: 2.0, 3: 3.0, 4: 0.5}
     exact = exact_edge_distribution(spec.edges, masses)
-    counts: Counter = Counter()
-    for rep in range(params.hyperedge_reps):
-        sampler = EdgeSampler(spec, OracleHash(derive_seed(seed, rep)))
-        for v in sorted(masses):
-            sampler.update(v, masses[v])
-        counts[sampler.query()[0]] += 1
+    counts, _ = _tally(replay(partial(EdgeSampler, spec), sorted(masses.items()),
+                              params.hyperedge_reps, seed))
     chi = chi_square_gof(counts, exact, params.significance)
     return [CheckResult("circuits/hyperedge-law/arity-3", chi.passed,
                         chi.statistic, chi.threshold)]
@@ -429,13 +407,13 @@ def check_flat_equivalence(seed: bytes, params: VerifyParams) -> list[CheckResul
         stream = [(rnd.choice(keys), rnd.uniform(0.1, 5.0))
                   for _ in range(rnd.randint(1, 40))]
         oracle = OracleHash(derive_seed(seed, i))
-        circuit = build_flat_circuit({k: level for k in keys})
-        circuit_fresh = FreshSource(oracle.seed)
+        circuit = CircuitSketch(build_flat_circuit({k: level for k in keys}),
+                                {k: ("in", k) for k in keys}, "out", oracle)
         scalar = GSampler(level, oracle)
         for key, delta in stream:
-            circuit.update(("in", key), delta, circuit_fresh, oracle)
+            circuit.update(key, delta)
             scalar.update(key, delta)
-        if circuit.output("out") != scalar.query():
+        if circuit.query() != scalar.query():
             mismatches += 1
     return [CheckResult("circuits/flat-equivalence", mismatches == 0,
                         float(mismatches), 0.0,
@@ -449,17 +427,39 @@ def check_heterogeneous_flat(seed: bytes, params: VerifyParams) -> list[CheckRes
     masses = {1: 3.0, 2: 5.0}
     # F1 contributes 3, F0 contributes 1
     exact = ExactDistribution((1, 2), (0.75, 0.25))
-    counts: Counter = Counter()
-    for rep in range(params.hetero_reps):
-        oracle = OracleHash(derive_seed(seed, rep))
-        circuit = build_flat_circuit(weights)
-        fresh = FreshSource(oracle.seed)
-        for key in sorted(masses):
-            circuit.update(("in", key), masses[key], fresh, oracle)
-        counts[circuit.output("out")[0]] += 1
+    circuit = build_flat_circuit(weights)
+    inputs = {key: ("in", key) for key in weights}
+    counts, _ = _tally(replay(partial(CircuitSketch, circuit, inputs, "out"),
+                              sorted(masses.items()), params.hetero_reps, seed))
     chi = chi_square_gof(counts, exact, params.significance)
     return [CheckResult("circuits/heterogeneous-flat", chi.passed,
                         chi.statistic, chi.threshold)]
+
+
+@dataclass(frozen=True)
+class FrontierStats:
+    """Final-size statistics of the Pareto frontier over repeated trials."""
+
+    mean: float
+    max_size: int
+    stderr: float
+    trials: int
+
+
+def frontier_size_stats(n: int, trials: int, seed: bytes) -> FrontierStats:
+    """Final frontier size over `trials` independent runs of n unit updates
+    on distinct keys.  The expected size is the n-th harmonic number."""
+    if n < 1 or trials < 1:
+        raise ValueError("n and trials must be >= 1")
+    sizes = [len(sampler.frontier) for sampler in
+             replay(ParetoSampler, [(key, 1.0) for key in range(n)], trials, seed)]
+    mean = math.fsum(sizes) / trials
+    if trials > 1:
+        var = math.fsum((s - mean) ** 2 for s in sizes) / (trials - 1)
+        stderr = math.sqrt(var / trials)
+    else:
+        stderr = 0.0
+    return FrontierStats(mean, max(sizes), stderr, trials)
 
 
 def check_frontier_sizes(seed: bytes, params: VerifyParams) -> list[CheckResult]:
@@ -512,10 +512,6 @@ def _suite_samplers(seed, params):
             + check_merge_replay(derive_seed(seed, 2), params))
 
 
-def _suite_wor(seed, params):
-    return check_wor_law(seed, params)
-
-
 def _suite_circuits(seed, params):
     return (check_edge_sampling(seed, params)
             + check_hyperedge_sampling(derive_seed(seed, 1), params)
@@ -531,7 +527,7 @@ def _suite_frontier(seed, params):
 SUITES: dict[str, Callable] = {
     "level": _suite_level,
     "samplers": _suite_samplers,
-    "wor": _suite_wor,
+    "wor": check_wor_law,
     "circuits": _suite_circuits,
     "frontier": _suite_frontier,
 }

@@ -12,6 +12,7 @@ from levysketch.circuits import (
     SALT_EDGE_SOFTCAP,
     SALT_VERTEX_SQRT,
     Circuit,
+    CircuitSketch,
     EdgeSampler,
     EdgeSamplerSpec,
     GGate,
@@ -381,6 +382,26 @@ def test_spec_validation():
         EdgeSamplerSpec((1, 2), ((1, 2), (2, 1)))  # duplicate edge
     with pytest.raises(ValueError):
         EdgeSamplerSpec((1, 2, 3, 4, 5), ((1, 2, 3, 4, 5),))  # arity 5
+    for bad in (-1, 1 << 64, 1.5, "1"):  # not a 64-bit vertex id
+        with pytest.raises(ValueError, match="vertex ids"):
+            EdgeSamplerSpec((bad, 2), ((bad, 2),))
+    EdgeSamplerSpec((0, (1 << 64) - 1), ((0, (1 << 64) - 1),))
+
+
+def test_circuit_sketch_is_the_scalar_sampler_on_a_flat_circuit():
+    circuit = build_flat_circuit({1: FHALF_LEVEL, 2: FHALF_LEVEL})
+    inputs = {1: ("in", 1), 2: ("in", 2)}
+    stream = [(1, 1.0), (7, 5.0), (2, 3.0), (1, 0.5)]
+    for rep in range(20):
+        # one circuit serves every run: a new sketch clears its state
+        sketch = CircuitSketch(circuit, inputs, "out", _oracle(rep))
+        scalar = GSampler(FHALF_LEVEL, _oracle(rep))
+        for key, delta in stream:
+            sketch.update(key, delta)  # key 7 feeds no gate and is ignored
+            if key in inputs:
+                scalar.update(key, delta)
+        assert sketch.query() == scalar.query()
+        assert sketch.fresh.counter == scalar.fresh.counter == 3
 
 
 def test_single_edge_graph():

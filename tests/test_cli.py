@@ -1,6 +1,7 @@
 """CLI: stream parsing, report determinism, sketch kinds, circuit files,
 randomness attachment, and exit codes."""
 
+import hashlib
 import json
 import math
 import random
@@ -35,6 +36,16 @@ def test_parse_stream_basics():
     # string ids are stable per seed
     again = parse_stream(text, SEED)
     assert again[1].key == records[1].key
+
+
+def test_parse_stream_only_ascii_digits_are_decimal_keys():
+    # '\u0661' (Arabic-Indic one) and '\u00b2' (superscript two) are digits
+    # to str.isdigit, but not decimal keys: they hash like any other string
+    records = parse_stream("\u0661 1.0\n1 2.0\n\u00b2 3.0\n", SEED)
+    assert [r.display for r in records] == ["\u0661", "1", "\u00b2"]
+    assert records[1].key == 1
+    assert len({r.key for r in records}) == 3
+    assert records[0].key == parse_stream("\u0661 1.0\n", SEED)[0].key
 
 
 def test_parse_stream_errors():
@@ -295,3 +306,64 @@ def test_main_solver_failure_exits_2(tmp_path, monkeypatch, capsys):
     stream.write_text("1 1\n")
     assert main(["sample", str(stream), "--g", "log", "--reps", "3", "--seed", "beef"]) == 2
     assert "error: no convergence" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, text", [
+    ("edge-sample", "edge -1 2\n"),
+    ("edge-sample", "edge 18446744073709551616 2\n"),
+    ("sample", "graph-edge -1 2\n"),
+])
+def test_main_out_of_range_vertex_exits_2(tmp_path, capsys, command, text):
+    graph = tmp_path / "g.txt"
+    graph.write_text(text)
+    stream = tmp_path / "s.txt"
+    stream.write_text("2 1\n")
+    args = ([command, str(graph), str(stream)] if command == "edge-sample"
+            else [command, str(stream), "--sketch", f"circuit:{graph}"])
+    assert main(args + ["--reps", "5", "--seed", "beef"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "vertex ids" in err
+    assert "Traceback" not in err
+
+
+_PIN_STREAM = "1 1\n2 2\n3 3\n1 1\n4 0.5\n2 0.25\n"
+_PIN_CIRCUIT = ("gate 1 input\ngate 2 input\n"
+                "gate g1 g:fhalf\ngate g2 g:log\ngate h scalar:2\ngate out output\n"
+                "wire 1 g1\nwire 2 g2\nwire g1 out\nwire g2 h\nwire h out\n")
+# SHA-256 of json.dumps(report, sort_keys=True), 200 reps each.  A change
+# that moves replay bits on purpose updates these and says so in CHANGES.md.
+_PINNED = {
+    ("gsampler", "position"): "be7f6390ddd27a19fb1f067d9591ab639d8de87ff4fe45c9baba7d91e51589b2",
+    ("gsampler", "record"): "ad1c95b82f45d0abbec9d47276abbcb60cc5ad5c4e12882f30c7989a91c8ed2f",
+    ("pareto", "position"): "3cae2bfb5ee825a26281fb5f742ead153a21e09988c764074756f29a0a3880e2",
+    ("pareto", "record"): "6f248bdc786b7037773dd7a26a929a3dab371d7198bd1de344c328f65d98a5d2",
+    ("wor:2", "position"): "b256abe0f4039a335530c6433f1bcc34c5d4f1e9c4dc291154445de4f88c575e",
+    ("wor:2", "record"): "4fe32633abe4c40894b2a3befbd3f111e82d574062e7905afd4406fcc73e16f1",
+    ("kpareto:2", "position"): "8111b9fadb250ea1eb29670b3f9feb1c93193b93bfd293d88d40bc04488474a2",
+    ("kpareto:2", "record"): "21c0b5eb75b913c626ece3650968752cf7137350716b119bbb4762f73d2106c0",
+    ("circuit:x", "position"): "3902af9b4bbf94683f5e99c4ee309c2b2423b87312fe7b94b38f36d82d3edd4c",
+    ("circuit:x", "record"): "3be96029874009e4895072e5abc83ede228db876f4bb361e91d6458d748eabaa",
+    ("edge-sample", None): "b23c94942eda2338c8e01472da4a6d88846a83ec460869279f4edcaa18d5cc80",
+}
+
+
+def _digest(report: dict) -> str:
+    return hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest()
+
+
+def test_reports_are_pinned():
+    records = parse_stream(_PIN_STREAM, SEED)
+    circuit_records = parse_stream("1 1\n2 2\n1 0.5\n2 2\n", SEED)
+    got = {}
+    for sketch, mode in _PINNED:
+        if sketch == "edge-sample":
+            got[sketch, mode] = _digest(cmd_edge_sample(
+                "edge 1 2\nedge 2 3\nedge 1 3\n",
+                parse_stream("1 1\n2 2\n3 3\n1 0.5\n", SEED), RunConfig(SEED, reps=200)))
+        elif sketch == "circuit:x":
+            got[sketch, mode] = _digest(cmd_sample(
+                RunConfig(SEED, sketch, "fhalf", 200, mode), circuit_records, _PIN_CIRCUIT))
+        else:
+            got[sketch, mode] = _digest(cmd_sample(
+                RunConfig(SEED, sketch, "fhalf", 200, mode), records))
+    assert got == _PINNED

@@ -9,13 +9,11 @@ from levysketch.circuits import edge_weight
 from levysketch.level import F0, F1, FHalf, Log, SoftCap
 from levysketch.oracle import (
     ExactDistribution,
-    FrontierStats,
     UndersampledError,
     chi_square_gof,
     exact_distribution,
     exact_edge_distribution,
     exact_wor_distribution,
-    frontier_size_stats,
     ks_test_exponential,
 )
 from levysketch.randomness import parse_seed
@@ -194,21 +192,3 @@ def test_ks_preconditions_and_finiteness():
     report = ks_test_exponential([1e-12] * 1000, 1.0)
     assert math.isfinite(report.statistic)
 
-
-def test_frontier_stats_n1():
-    stats = frontier_size_stats(1, 50, SEED)
-    assert stats.mean == 1.0
-    assert stats.max_size == 1
-    assert isinstance(stats, FrontierStats)
-
-
-def test_frontier_stats_h4():
-    stats = frontier_size_stats(4, 20_000, SEED)
-    assert abs(stats.mean - 25 / 12) <= 3 * stats.stderr
-
-
-def test_frontier_stats_validation():
-    with pytest.raises(ValueError):
-        frontier_size_stats(0, 10, SEED)
-    with pytest.raises(ValueError):
-        frontier_size_stats(5, 0, SEED)

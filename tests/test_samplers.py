@@ -51,6 +51,7 @@ from levysketch.samplers import (
     Update,
     WorSampler,
     deserialize,
+    replay,
 )
 
 SEED = parse_seed("5a3b")
@@ -928,3 +929,25 @@ def test_bounded_query_solves_under_half_the_frontier(solver_calls):
     solver_calls.clear()
     assert [key for _, key in expected] == s.query(level)
     assert solver_calls["n"] <= len(s.frontier) / 2
+
+
+# --- replay -------------------------------------------------------------------
+
+def test_replay_yields_reps_in_order_on_derived_seeds():
+    level = LevelFunction(FHalf())
+    stream = [(1, 1.0), (2, 2.0), (1, 0.5), (3, 3.0)]
+    sketches = list(replay(lambda oracle: GSampler(level, oracle), stream, 5, SEED))
+    assert len(sketches) == 5
+    for rep, sketch in enumerate(sketches):
+        assert sketch.oracle == OracleHash(derive_seed(SEED, rep))
+        direct = GSampler(level, OracleHash(derive_seed(SEED, rep)))
+        for key, delta in stream:
+            direct.update(key, delta)
+        assert sketch.to_bytes() == direct.to_bytes()
+        assert sketch.fresh.counter == len(stream)
+
+
+def test_replay_rejects_fewer_than_one_rep():
+    for reps in (0, -1):
+        with pytest.raises(ValueError):
+            replay(ParetoSampler, [(1, 1.0)], reps, SEED)
