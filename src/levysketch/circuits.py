@@ -145,7 +145,7 @@ class Circuit:
         # input gate -> [(gates passed, output gate, label reported, index of
         # the last G-gate passed, product of the alphas after it)] per wire
         self._paths: Optional[dict] = None
-        self._unit_cache: dict = {}
+        self._unit_cache: dict = {}  # oracle -> {G-gate id: seed U}
         self._out_state: dict = {}
 
     def add_gate(self, gate_id, gate: Gate, label=None) -> None:
@@ -228,15 +228,16 @@ class Circuit:
 
     # -- execution -----------------------------------------------------------
 
-    def _gate_unit(self, gate_id, gate: GGate, oracle: OracleHash) -> float:
-        u = self._unit_cache.get((gate_id, oracle))
+    @staticmethod
+    def _gate_unit(units: dict, gate_id, gate: GGate, oracle: OracleHash) -> float:
+        u = units.get(gate_id)
         if u is None:
             salted = oracle.with_salt(gate.seed_salt)
             if isinstance(gate.scope, bytes):
                 u = hash_unit_bytes(salted, gate.scope)
             else:
                 u = hash_unit(salted, gate.scope)
-            self._unit_cache[(gate_id, oracle)] = u
+            units[gate_id] = u
         return u
 
     def update(self, input_gate, delta: float, rng: FreshSource,
@@ -259,6 +260,11 @@ class Circuit:
             raise ValueError(f"{input_gate!r} is not an input gate")
         if not (delta > 0):
             raise ValueError(f"delta must be positive, got {delta}")
+        # the oracle's gate seeds, looked up once: hashing a frozen
+        # OracleHash per gate evaluation costs more than the lookup it keys
+        units = self._unit_cache.get(oracle)
+        if units is None:
+            units = self._unit_cache[oracle] = {}
 
         for passed, out_id, label, last_g, scale in paths:
             value = fresh_exp(rng) / delta
@@ -267,7 +273,8 @@ class Circuit:
                     value /= gate.alpha
                 else:
                     bound = self._out_state[out_id][1] * scale if i == last_g else math.inf
-                    value = gate.level.eval(value, self._gate_unit(gate_id, gate, oracle), bound)
+                    value = gate.level.eval(value, self._gate_unit(units, gate_id, gate, oracle),
+                                           bound)
             ident, h_star = self._out_state[out_id]
             # the smaller (value, identifier) pair, as the samplers keep it;
             # the first arrival always, even at inf

@@ -71,6 +71,16 @@ def _key_id(token: str, seed: bytes) -> int:
     return key_for_string(seed, token)
 
 
+def _vertex_ids(tokens: list[str], where: str) -> tuple[int, ...]:
+    """Vertex ids from ASCII decimal tokens, the rule stream keys follow;
+    int() alone would also read '+2', '3_0' and non-ASCII digits."""
+    for token in tokens:
+        if not _is_decimal(token):
+            raise StreamParseError(
+                f"{where}: vertex ids must be ASCII decimal integers, got {token!r}")
+    return tuple(int(token) for token in tokens)
+
+
 def parse_stream(text: str, seed: bytes, source: str = "<stream>") -> list[StreamRecord]:
     records = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -104,11 +114,7 @@ def parse_graph(text: str, source: str = "<graph>") -> EdgeSamplerSpec:
         if parts[0] != "edge" or not (3 <= len(parts) <= 5):
             raise StreamParseError(
                 f"{source}:{lineno}: expected 'edge u v [w ...]', got {raw!r}")
-        try:
-            edges.append(tuple(int(p) for p in parts[1:]))
-        except ValueError:
-            raise StreamParseError(
-                f"{source}:{lineno}: vertex ids must be integers: {raw!r}") from None
+        edges.append(_vertex_ids(parts[1:], f"{source}:{lineno}"))
     if not edges:
         raise StreamParseError(f"{source}: no edges")
     vertices = tuple(sorted({v for e in edges for v in e}))
@@ -142,11 +148,7 @@ def load_circuit_file(text: str, source: str = "<circuit>") -> LoadedCircuit:
         elif parts[0] == "wire" and len(parts) == 3:
             wire_lines.append((lineno, parts[1], parts[2]))
         elif parts[0] == "graph-edge" and len(parts) >= 3:
-            try:
-                edge_lines.append(tuple(int(p) for p in parts[1:]))
-            except ValueError:
-                raise StreamParseError(
-                    f"{source}:{lineno}: vertex ids must be integers") from None
+            edge_lines.append(_vertex_ids(parts[1:], f"{source}:{lineno}"))
         else:
             raise StreamParseError(f"{source}:{lineno}: unrecognized line {raw!r}")
     if edge_lines:
@@ -366,10 +368,16 @@ def cmd_edge_sample(graph_text: str, records: list[StreamRecord],
         if not _is_decimal(r.display):
             raise StreamParseError(
                 f"edge-sample streams must use integer vertex keys, got {r.display!r}")
+        if r.key != int(r.display):  # hashed, so it could never name a vertex
+            raise StreamParseError(
+                f"edge-sample vertex keys must be below 2^64, got {r.display}")
         masses[r.key] = masses.get(r.key, 0.0) + r.delta
     stream = [(r.key, r.delta) for r in records]
-    for sampler in replay(lambda oracle: EdgeSampler(spec, oracle), stream,
-                          config.reps, config.seed):
+    # one compiled circuit serves every rep: a CircuitSketch clears its state
+    edge = EdgeSampler(spec)
+    for sampler in replay(
+            lambda oracle: CircuitSketch(edge.circuit, edge.inputs, edge.output_id, oracle),
+            stream, config.reps, config.seed):
         out = sampler.query()
         if out is None:
             empty += 1

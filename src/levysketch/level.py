@@ -47,7 +47,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
 
-from scipy.special import ndtri
+from scipy.special.cython_special import ndtri
 
 from .numerics import DEFAULT_TOLERANCE as _TOL
 from .numerics import (
@@ -269,7 +269,7 @@ def eval_softcap(tau: float, a: float, b: float) -> float:
         return math.exp(log_density) if log_density <= 0.0 else 0.0
 
     # Wilson-Hilferty start: approximate gamma quantile for shape k.
-    z = float(ndtri(b))
+    z = ndtri(b)
     t = 1.0 - 1.0 / (9.0 * k) + z / (3.0 * math.sqrt(k))
     guess = k * t * t * t if t > 0 else 0.0
     # Bracket: the tail is 0 at w = 0; grow the upper end geometrically from

@@ -1,10 +1,16 @@
 """Special functions and bracketed monotone root finding.
 
 Everything in this module is a pure function of its arguments.  The special
-functions come from scipy.special: the inverse error function, and the
+functions are scipy's C kernels for the inverse error function and the
 regularized incomplete gamma ratios (the standard Temme/continued-fraction
-algorithms); tests check them against direct quadrature, series summation
-and round trips.  Only the bracketed root finder is implemented here.
+algorithms), called through ``scipy.special.cython_special``: the scalar
+entry points to the same C code that the ``scipy.special`` ufuncs wrap.  They
+take and return Python floats, and skip the ufunc dispatch that costs about
+1.3 us per scalar call, several times the kernel itself.  A test checks
+every routed function against its ufunc bit for bit, over a seeded
+log-uniform grid and the edges of the domain; others check them against
+direct quadrature, series summation and round trips.  Only the bracketed
+root finder is implemented here.
 
 All computation is 64-bit binary floating point.  Results therefore carry a
 small additive error (a few ulps, amplified modestly by root finding); the
@@ -18,9 +24,9 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from scipy.special import erfinv as _scipy_erfinv
-from scipy.special import gammainc as _scipy_gammainc
-from scipy.special import gammaincc as _scipy_gammaincc
+from scipy.special.cython_special import erfinv as _erfinv
+from scipy.special.cython_special import gammainc as _gammainc
+from scipy.special.cython_special import gammaincc as _gammaincc
 
 __all__ = [
     "Tolerance",
@@ -75,7 +81,7 @@ def inv_erf(b: float) -> float:
     """Inverse error function on (0, 1): the y >= 0 with erf(y) = b."""
     if not (0.0 < b < 1.0):
         raise ValueError(f"inv_erf requires 0 < b < 1, got {b}")
-    return float(_scipy_erfinv(b))
+    return _erfinv(b)
 
 
 def regularized_gamma_q(s: float, a: float) -> float:
@@ -87,7 +93,7 @@ def regularized_gamma_q(s: float, a: float) -> float:
         raise ValueError(f"shape must be positive, got {s}")
     if a < 0.0:
         raise ValueError(f"lower limit must be non-negative, got {a}")
-    return float(_scipy_gammaincc(s, a))
+    return _gammaincc(s, a)
 
 
 def poisson_tail(k: int, w: float) -> float:
@@ -100,7 +106,7 @@ def poisson_tail(k: int, w: float) -> float:
         raise ValueError(f"count threshold must be >= 1, got {k}")
     if w < 0.0:
         raise ValueError(f"rate must be non-negative, got {w}")
-    return float(_scipy_gammainc(k, w))
+    return _gammainc(k, w)
 
 
 def solve_monotone_increasing(

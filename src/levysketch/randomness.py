@@ -48,6 +48,12 @@ _UNIT_LOW = 2.0 ** -60
 _SCALE_53 = 2.0 ** -53
 _KEY_MASK = (1 << 64) - 1
 
+# Codecs bound once, so no call parses a format string.
+_pack_q = struct.Struct("<q").pack
+_pack_qQ = struct.Struct("<qQ").pack
+_pack_Q = struct.Struct("<Q").pack
+_unpack_Q = struct.Struct("<Q").unpack
+
 
 def parse_seed(text: str) -> bytes:
     """Parse a hex seed string (up to 32 hex digits, left-padded) to 16 bytes."""
@@ -64,12 +70,12 @@ def parse_seed(text: str) -> bytes:
 def derive_seed(seed: bytes, index: int) -> bytes:
     """Derive an independent 16-byte seed for repetition `index`."""
     return hashlib.blake2b(
-        b"D" + struct.pack("<q", index), key=seed, digest_size=SEED_BYTES
+        b"D" + _pack_q(index), key=seed, digest_size=SEED_BYTES
     ).digest()
 
 
 def _unit_from_digest(digest: bytes) -> float:
-    u = (int.from_bytes(digest, "little") >> 11) * _SCALE_53
+    u = (_unpack_Q(digest)[0] >> 11) * _SCALE_53
     return u if u >= _UNIT_LOW else _UNIT_LOW
 
 
@@ -93,14 +99,14 @@ class OracleHash:
 
 def hash_unit(h: OracleHash, key: int) -> float:
     """Hash a 64-bit key to a uniform value strictly inside (0, 1)."""
-    data = b"H" + struct.pack("<qQ", h.salt, key & _KEY_MASK)
+    data = b"H" + _pack_qQ(h.salt, key & _KEY_MASK)
     digest = hashlib.blake2b(data, key=h.seed, digest_size=8).digest()
     return _unit_from_digest(digest)
 
 
 def hash_unit_bytes(h: OracleHash, data: bytes) -> float:
     """Hash arbitrary bytes (e.g. an encoded edge) to a uniform in (0, 1)."""
-    payload = b"B" + struct.pack("<q", h.salt) + data
+    payload = b"B" + _pack_q(h.salt) + data
     digest = hashlib.blake2b(payload, key=h.seed, digest_size=8).digest()
     return _unit_from_digest(digest)
 
@@ -132,7 +138,7 @@ class FreshSource:
             raise ValueError(f"seed must be {SEED_BYTES} bytes, got {len(self.seed)}")
 
     def next_uniform(self) -> float:
-        data = b"F" + struct.pack("<Q", self.counter)
+        data = b"F" + _pack_Q(self.counter)
         self.counter += 1
         digest = hashlib.blake2b(data, key=self.seed, digest_size=8).digest()
         return _unit_from_digest(digest)

@@ -4,7 +4,10 @@ randomness attachment, and exit codes."""
 import hashlib
 import json
 import math
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -20,6 +23,7 @@ from levysketch.cli import (
     parse_graph,
     parse_stream,
 )
+import levysketch
 from levysketch.randomness import parse_seed
 
 SEED = parse_seed("c1f00d")
@@ -308,22 +312,49 @@ def test_main_solver_failure_exits_2(tmp_path, monkeypatch, capsys):
     assert "error: no convergence" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command, text", [
-    ("edge-sample", "edge -1 2\n"),
-    ("edge-sample", "edge 18446744073709551616 2\n"),
-    ("sample", "graph-edge -1 2\n"),
+@pytest.mark.parametrize("command, text, where", [
+    ("edge-sample", "edge -1 2\n", "<graph>:1:"),
+    ("edge-sample", "edge 18446744073709551616 2\n", "<graph>:"),
+    ("sample", "graph-edge -1 2\n", "<circuit>:1:"),
+    # int() reads these as 1, 30 and 2; only ASCII digits make a vertex id
+    *((command, f"{line} 2 5\n{line} {token} 5\n", f"<{source}>:2:")
+      for command, line, source in (("edge-sample", "edge", "graph"),
+                                    ("sample", "graph-edge", "circuit"))
+      for token in ("\u0661", "3_0", "+2")),
 ])
-def test_main_out_of_range_vertex_exits_2(tmp_path, capsys, command, text):
+def test_main_out_of_range_vertex_exits_2(tmp_path, capsys, command, text, where):
     graph = tmp_path / "g.txt"
-    graph.write_text(text)
+    graph.write_text(text, encoding="utf-8")
     stream = tmp_path / "s.txt"
     stream.write_text("2 1\n")
     args = ([command, str(graph), str(stream)] if command == "edge-sample"
             else [command, str(stream), "--sketch", f"circuit:{graph}"])
     assert main(args + ["--reps", "5", "--seed", "beef"]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and "vertex ids" in err
+    assert err.startswith(f"error: {where} vertex ids")
     assert "Traceback" not in err
+
+
+def test_main_edge_sample_key_of_2_64_exits_2(tmp_path, capsys):
+    # a decimal key past 64 bits hashes to a string id, which names no vertex
+    graph = tmp_path / "g.txt"
+    graph.write_text("edge 1 2\n")
+    stream = tmp_path / "s.txt"
+    stream.write_text("18446744073709551617 5\n2 1\n")
+    assert main(["edge-sample", str(graph), str(stream), "--reps", "5", "--seed", "beef"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "18446744073709551617" in err
+    assert "Traceback" not in err
+
+
+def test_python_dash_m_runs_the_cli():
+    src = os.path.dirname(os.path.dirname(levysketch.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    done = subprocess.run([sys.executable, "-m", "levysketch", "verify", "--help"],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("usage: levysketch verify")
 
 
 _PIN_STREAM = "1 1\n2 2\n3 3\n1 1\n4 0.5\n2 0.25\n"
@@ -333,17 +364,22 @@ _PIN_CIRCUIT = ("gate 1 input\ngate 2 input\n"
 # SHA-256 of json.dumps(report, sort_keys=True), 200 reps each.  A change
 # that moves replay bits on purpose updates these and says so in CHANGES.md.
 _PINNED = {
-    ("gsampler", "position"): "be7f6390ddd27a19fb1f067d9591ab639d8de87ff4fe45c9baba7d91e51589b2",
-    ("gsampler", "record"): "ad1c95b82f45d0abbec9d47276abbcb60cc5ad5c4e12882f30c7989a91c8ed2f",
-    ("pareto", "position"): "3cae2bfb5ee825a26281fb5f742ead153a21e09988c764074756f29a0a3880e2",
-    ("pareto", "record"): "6f248bdc786b7037773dd7a26a929a3dab371d7198bd1de344c328f65d98a5d2",
-    ("wor:2", "position"): "b256abe0f4039a335530c6433f1bcc34c5d4f1e9c4dc291154445de4f88c575e",
-    ("wor:2", "record"): "4fe32633abe4c40894b2a3befbd3f111e82d574062e7905afd4406fcc73e16f1",
-    ("kpareto:2", "position"): "8111b9fadb250ea1eb29670b3f9feb1c93193b93bfd293d88d40bc04488474a2",
-    ("kpareto:2", "record"): "21c0b5eb75b913c626ece3650968752cf7137350716b119bbb4762f73d2106c0",
-    ("circuit:x", "position"): "3902af9b4bbf94683f5e99c4ee309c2b2423b87312fe7b94b38f36d82d3edd4c",
-    ("circuit:x", "record"): "3be96029874009e4895072e5abc83ede228db876f4bb361e91d6458d748eabaa",
-    ("edge-sample", None): "b23c94942eda2338c8e01472da4a6d88846a83ec460869279f4edcaa18d5cc80",
+    ("gsampler", "fhalf", "position"): "be7f6390ddd27a19fb1f067d9591ab639d8de87ff4fe45c9baba7d91e51589b2",
+    ("gsampler", "fhalf", "record"): "ad1c95b82f45d0abbec9d47276abbcb60cc5ad5c4e12882f30c7989a91c8ed2f",
+    ("pareto", "fhalf", "position"): "3cae2bfb5ee825a26281fb5f742ead153a21e09988c764074756f29a0a3880e2",
+    ("pareto", "fhalf", "record"): "6f248bdc786b7037773dd7a26a929a3dab371d7198bd1de344c328f65d98a5d2",
+    ("wor:2", "fhalf", "position"): "b256abe0f4039a335530c6433f1bcc34c5d4f1e9c4dc291154445de4f88c575e",
+    ("wor:2", "fhalf", "record"): "4fe32633abe4c40894b2a3befbd3f111e82d574062e7905afd4406fcc73e16f1",
+    ("kpareto:2", "fhalf", "position"): "8111b9fadb250ea1eb29670b3f9feb1c93193b93bfd293d88d40bc04488474a2",
+    ("kpareto:2", "fhalf", "record"): "21c0b5eb75b913c626ece3650968752cf7137350716b119bbb4762f73d2106c0",
+    ("circuit:x", "fhalf", "position"): "3902af9b4bbf94683f5e99c4ee309c2b2423b87312fe7b94b38f36d82d3edd4c",
+    ("circuit:x", "fhalf", "record"): "3be96029874009e4895072e5abc83ede228db876f4bb361e91d6458d748eabaa",
+    ("edge-sample", None, None): "b23c94942eda2338c8e01472da4a6d88846a83ec460869279f4edcaa18d5cc80",
+    # log and softcap root-solve through the incomplete gamma kernels
+    ("gsampler", "log", "position"): "5ec7189e642f8762010535c29993c0dfdc8a4f6ce3871012f42e7836d85b5448",
+    ("gsampler", "softcap:1", "position"): "1055e2794e4f10807f1b871dd0ecb83c321b76794b97212190b7c50f8ac95d33",
+    ("kpareto:2", "log", "position"): "5f41925bd42d023a783906d29bcd581d35870e5ad052c80c20d7d2248822ba1a",
+    ("kpareto:2", "softcap:1", "position"): "af683277c7cc833aaa1698c2085628f9d66a63f18636699056d3d4e956041b2e",
 }
 
 
@@ -355,15 +391,15 @@ def test_reports_are_pinned():
     records = parse_stream(_PIN_STREAM, SEED)
     circuit_records = parse_stream("1 1\n2 2\n1 0.5\n2 2\n", SEED)
     got = {}
-    for sketch, mode in _PINNED:
+    for sketch, g, mode in _PINNED:
         if sketch == "edge-sample":
-            got[sketch, mode] = _digest(cmd_edge_sample(
+            got[sketch, g, mode] = _digest(cmd_edge_sample(
                 "edge 1 2\nedge 2 3\nedge 1 3\n",
                 parse_stream("1 1\n2 2\n3 3\n1 0.5\n", SEED), RunConfig(SEED, reps=200)))
         elif sketch == "circuit:x":
-            got[sketch, mode] = _digest(cmd_sample(
-                RunConfig(SEED, sketch, "fhalf", 200, mode), circuit_records, _PIN_CIRCUIT))
+            got[sketch, g, mode] = _digest(cmd_sample(
+                RunConfig(SEED, sketch, g, 200, mode), circuit_records, _PIN_CIRCUIT))
         else:
-            got[sketch, mode] = _digest(cmd_sample(
-                RunConfig(SEED, sketch, "fhalf", 200, mode), records))
+            got[sketch, g, mode] = _digest(cmd_sample(
+                RunConfig(SEED, sketch, g, 200, mode), records))
     assert got == _PINNED

@@ -1,11 +1,15 @@
 """Special functions against independent oracles, and solver behavior."""
 
 import math
+import random
+import struct
 
 import pytest
+import scipy.special
 from scipy.integrate import quad
 from scipy.special import erf as scipy_erf
 
+from levysketch import level
 from levysketch.numerics import (
     BracketError,
     NoConvergenceError,
@@ -134,6 +138,61 @@ def test_poisson_tail_domain():
         poisson_tail(0, 1.0)
     with pytest.raises(ValueError):
         poisson_tail(2, -0.5)
+
+
+def _log_uniform(rng: random.Random, lo: float, hi: float) -> float:
+    return math.exp(rng.uniform(math.log(lo), math.log(hi)))
+
+
+def _bits(x: float) -> bytes:
+    return struct.pack("<d", x)
+
+
+# b values at the ends of (0, 1) and the shapes at which a double stops
+# resolving integers, cannot hold them exactly, or overflows a 64-bit int
+_EDGE_B = (5e-324, 1.0 - 2.0 ** -53)
+_EDGE_SHAPES = (5e-324, 2**53 + 1, 2**64 + 7, 2**100, 2.0 ** 128, math.inf)
+_EDGE_X = (0.0, 5e-324, 1e-300, 1.0 - 2.0 ** -53, 1.0, 2.0 ** 53, 2.0 ** 128, 1e300, math.inf)
+
+
+def test_kernels_equal_the_ufuncs_bit_for_bit():
+    """The library calls scipy's C kernels through cython_special; each
+    must return the bits of the scipy.special ufunc it stands in for."""
+    rng = random.Random(20241018)
+    n = 20_000
+    bs = [_log_uniform(rng, 1e-300, 1.0) for _ in range(n // 2)]
+    bs += [1.0 - _log_uniform(rng, 2.0 ** -53, 0.5) for _ in range(n // 2)]
+    bs += _EDGE_B
+    # shapes on the diagonal, where the ratios are neither 0 nor 1, and wide
+    pairs = []
+    for _ in range(n):
+        s = _log_uniform(rng, 1e-6, 1e12)
+        pairs.append((s, s * _log_uniform(rng, 0.1, 10.0)))
+        pairs.append((_log_uniform(rng, 1e-300, 1e300), _log_uniform(rng, 1e-300, 1e300)))
+    pairs += [(s, x) for s in _EDGE_SHAPES for x in _EDGE_X + _EDGE_B]
+    counts = [math.ceil(_log_uniform(rng, 1.0, 1e4)) for _ in range(n)]
+    counts += [math.ceil(_log_uniform(rng, 1.0, 1e15)) for _ in range(n)]
+    tails = [(k, k * _log_uniform(rng, 0.1, 10.0)) for k in counts]
+    tails += [(k, x) for k in (1, *_EDGE_SHAPES[1:]) for x in _EDGE_X + _EDGE_B]
+
+    mismatches = [("inv_erf", b) for b in bs
+                  if _bits(inv_erf(b)) != _bits(float(scipy.special.erfinv(b)))]
+    # eval_softcap's Wilson-Hilferty start
+    mismatches += [("ndtri", b) for b in bs
+                   if _bits(level.ndtri(b)) != _bits(float(scipy.special.ndtri(b)))]
+    mismatches += [("regularized_gamma_q", s, x) for s, x in pairs
+                   if _bits(regularized_gamma_q(s, x))
+                   != _bits(float(scipy.special.gammaincc(s, x)))]
+    mismatches += [("poisson_tail", k, x) for k, x in tails
+                   if _bits(poisson_tail(k, x)) != _bits(float(scipy.special.gammainc(k, x)))]
+    assert mismatches == []
+    assert len(bs) >= 20_000 and len(pairs) >= 20_000 and len(tails) >= 20_000
+
+
+def test_kernels_return_python_floats():
+    for value in (inv_erf(0.5), level.ndtri(0.5), regularized_gamma_q(2, 1.0),
+                  poisson_tail(2**64 + 7, 1.0)):
+        assert type(value) is float
 
 
 def test_solver_identity():
