@@ -60,25 +60,31 @@ class StreamRecord:
     delta: float
 
 
-def _is_decimal(token: str) -> bool:
+def _decimal(token: str) -> Optional[int]:
+    """The value of an ASCII decimal token of at most 20 digits past its
+    leading zeros (2^64 has 20), else None.  int() alone would also read
+    '+2', '3_0' and non-ASCII digits, and raises past 4,300 digits."""
     # str.isdigit alone accepts non-ASCII digits such as '\u0661' and '\u00b2'
-    return token.isascii() and token.isdigit()
+    if not (token.isascii() and token.isdigit()):
+        return None
+    digits = token.lstrip("0") or "0"
+    return int(digits) if len(digits) <= 20 else None
 
 
 def _key_id(token: str, seed: bytes) -> int:
-    if _is_decimal(token) and int(token) < (1 << 64):
-        return int(token)
+    value = _decimal(token)
+    if value is not None and value < (1 << 64):
+        return value
     return key_for_string(seed, token)
 
 
 def _vertex_ids(tokens: list[str], where: str) -> tuple[int, ...]:
-    """Vertex ids from ASCII decimal tokens, the rule stream keys follow;
-    int() alone would also read '+2', '3_0' and non-ASCII digits."""
-    for token in tokens:
-        if not _is_decimal(token):
-            raise StreamParseError(
-                f"{where}: vertex ids must be ASCII decimal integers, got {token!r}")
-    return tuple(int(token) for token in tokens)
+    """Vertex ids from ASCII decimal tokens, the rule stream keys follow."""
+    ids = tuple(_decimal(token) for token in tokens)
+    if None in ids:
+        raise StreamParseError(f"{where}: vertex ids must be ASCII decimal integers "
+                               f"below 2^64, got {tokens[ids.index(None)]!r}")
+    return ids
 
 
 def parse_stream(text: str, seed: bytes, source: str = "<stream>") -> list[StreamRecord]:
@@ -365,12 +371,9 @@ def cmd_edge_sample(graph_text: str, records: list[StreamRecord],
     empty = 0
     vertex_set = set(spec.vertices)
     for r in records:
-        if not _is_decimal(r.display):
-            raise StreamParseError(
-                f"edge-sample streams must use integer vertex keys, got {r.display!r}")
-        if r.key != int(r.display):  # hashed, so it could never name a vertex
-            raise StreamParseError(
-                f"edge-sample vertex keys must be below 2^64, got {r.display}")
+        if _decimal(r.display) != r.key:  # hashed, so it could never name a vertex
+            raise StreamParseError("edge-sample vertex keys must be ASCII decimal "
+                                   f"integers below 2^64, got {r.display!r}")
         masses[r.key] = masses.get(r.key, 0.0) + r.delta
     stream = [(r.key, r.delta) for r in records]
     # one compiled circuit serves every rep: a CircuitSketch clears its state

@@ -20,7 +20,8 @@ have direct evaluations:
 * f0 (killing, 1{z > 0}):        l(a, b) = -log(1 - b)
 * f1 (drift, z):                 l(a, b) = a
 * fhalf (sqrt(z)):               l(a, b) = 2 sqrt(a) * inv_erf(b)
-* softcap (1 - exp(-tau * z)):   l(a, b) solves  P(Poisson(w) >= ceil(a/tau)) = b
+* softcap (1 - exp(-tau * z)):   l(a, b) = gammaincinv(ceil(a/tau), b), the w with
+                                 P(Poisson(w) >= ceil(a/tau)) = b
 * log (log(1 + z)):              l(a, b) solves  Q(w, a) = b  in the shape w
 
 and a coefficient divides the level: l_{alpha G} = l_G / alpha.  The
@@ -36,9 +37,10 @@ of the key.  That reproduces the summation rule for exponential rates
 property holds for the sum as a whole.
 
 Record-only evaluation: softcap and log also have a forward column, the
-increasing function of w their solver inverts at b.  Under a bound (default
+increasing function of w their level inverts at b.  Under a bound (default
 inf) one forward value shows whether a term's level lies above it; such a
-term returns inf unsolved, and any other, ties included, is solved in full.
+term returns inf unevaluated, and any other, ties included, is evaluated in
+full.
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
 
-from scipy.special.cython_special import ndtri
+from scipy.special.cython_special import gammaincinv
 
 from .numerics import DEFAULT_TOLERANCE as _TOL
 from .numerics import (
@@ -94,7 +96,7 @@ class _Kind(NamedTuple):
     value: Callable[[float, float], float]  # (param, z) -> G(z)
     level: Callable[[float, float, float], float]  # (param, a, b) -> l(a, b)
     param_name: str = ""  # set when the grammar spells "<kind>:<param>"
-    # (param, a, w) -> the increasing function of w a root-solved level inverts
+    # (param, a, w) -> the increasing function of w whose inverse at b is the level
     forward: Optional[Callable[[float, float, float], float]] = None
 
 
@@ -230,10 +232,10 @@ def eval_fhalf(a: float, b: float) -> float:
     return 2.0 * math.sqrt(a) * inv_erf(b)
 
 
-# Both solver-backed levels sit within a few multiples of sqrt(c) of a centre
-# c: the jump count ceil(a/tau) for softcap, a itself for log.  Beyond 2^128
+# Both inverted levels sit within a few multiples of sqrt(c) of a centre c:
+# the jump count ceil(a/tau) for softcap, a itself for log.  Beyond 2^128
 # that spread is below one ulp of c, so the level is c to double precision,
-# and inf at a = inf; the solvers are never asked to resolve it.
+# and inf at a = inf; no inversion is asked to resolve it.
 _CENTRED = 2.0 ** 128
 
 
@@ -242,8 +244,13 @@ def eval_softcap(tau: float, a: float, b: float) -> float:
     P(Poisson(w) >= ceil(a/tau)) = b.
 
     The process is a unit-rate Poisson counter with jump size tau, so it
-    reaches level a once it has made ceil(a/tau) jumps (dividing by the jump
-    size; at tau = 1 the two readings coincide).
+    reaches level a once it has made k = ceil(a/tau) jumps (dividing by the
+    jump size; at tau = 1 the two readings coincide).  P(Poisson(w) >= k)
+    is the regularized lower incomplete gamma P(k, w), so the level is its
+    inverse gammaincinv(k, b).  That is kept when one forward value shows it
+    meets the solver's stopping contract; otherwise (jump counts near 1e6
+    and beyond, where the forward kernel itself loses digits) the solver
+    finds the level.
     """
     if not (tau > 0):
         raise ValueError(f"tau must be positive, got {tau}")
@@ -251,36 +258,18 @@ def eval_softcap(tau: float, a: float, b: float) -> float:
     jumps = a / tau
     if jumps > _CENTRED:
         return jumps
-    k = math.ceil(jumps)
-    if k < 1:
-        k = 1
+    k = max(math.ceil(jumps), 1)
+    w = gammaincinv(k, b)
+    if abs(poisson_tail(k, w) - b) <= _TOL.residual(b):
+        return w
+    half = 0.5 * (_TOL.abs + _TOL.rel * w)
+    if poisson_tail(k, max(w - half, 0.0)) <= b <= poisson_tail(k, w + half):
+        return w
 
-    def f(w: float) -> float:
-        return poisson_tail(k, w)
+    def f(x: float) -> float:
+        return poisson_tail(k, x)
 
-    lgam_k = math.lgamma(k)
-
-    def df(w: float) -> float:
-        if w <= 0.0:
-            return 1.0 if k == 1 else 0.0
-        log_density = (k - 1) * math.log(w) - w - lgam_k
-        # a Gamma(k) density never exceeds 1; a larger value is rounding in
-        # the difference of two huge terms, and 0 makes the solver bisect
-        return math.exp(log_density) if log_density <= 0.0 else 0.0
-
-    # Wilson-Hilferty start: approximate gamma quantile for shape k.
-    z = ndtri(b)
-    t = 1.0 - 1.0 / (9.0 * k) + z / (3.0 * math.sqrt(k))
-    guess = k * t * t * t if t > 0 else 0.0
-    # Bracket: the tail is 0 at w = 0; grow the upper end geometrically from
-    # the mean until the target is enclosed.
-    hi = max(float(k), guess, 1.0)
-    for _ in range(200):
-        if f(hi) >= b:
-            break
-        hi *= 2.0
-    x0 = guess if 0.0 < guess < hi else None
-    return solve_monotone_increasing(f, b, (0.0, hi), df=df, x0=x0)
+    return solve_monotone_increasing(f, b, _bracket(f, b, float(k)))
 
 
 def eval_log(a: float, b: float) -> float:
@@ -292,30 +281,38 @@ def eval_log(a: float, b: float) -> float:
     def f(w: float) -> float:
         return regularized_gamma_q(w, a)
 
-    # Q(., a) rises from 0 to 1 as the shape grows; bracket geometrically
-    # around max(a, 1).
-    lo = hi = max(a, 1.0)
+    return solve_monotone_increasing(f, b, _bracket(f, b, max(a, 1.0)))
+
+
+def _bracket(f: Callable[[float], float], b: float, centre: float) -> tuple[float, float]:
+    """A bracket (lo, hi) on the root of f(w) = b for an increasing f:
+    halve lo from centre until f(lo) <= b, then double hi from centre until
+    f(hi) >= b.  ValueError when no lo is found."""
+    lo = hi = centre
     for _ in range(200):
         if f(lo) <= b:
             break
         lo /= 2.0
     else:
-        raise ValueError(f"could not bracket below for a={a}, b={b}")
+        raise ValueError(f"could not bracket f(w) = {b} below from {centre}")
     for _ in range(200):
         if f(hi) >= b:
             break
         hi *= 2.0
-    return solve_monotone_increasing(f, b, (lo, hi))
+    return lo, hi
 
 
 def _above(forward, param, coeff, a, b, bound) -> bool:
     """True when one forward value proves a term's level above bound.
 
-    The solver returns an x with forward(x) >= b - residual(b), or the
-    midpoint of a bracket whose top has forward >= b and whose width is at
-    most abs + rel * x.  So forward(w) < b - 2 residual(b) puts x above w
-    less half that width; widening coeff * bound by 1e3 widths covers it and
-    all rounding, and a level equal to bound is never rejected.
+    A level comes from the solver or, for softcap, from gammaincinv.  The
+    solver returns an x with forward(x) >= b - residual(b), or the midpoint
+    of a bracket whose top has forward >= b and whose width is at most
+    abs + rel * x.  eval_softcap keeps gammaincinv's x only under the same
+    contract: forward(x) >= b - residual(b), or forward >= b half such a
+    width above x.  So forward(w) < b - 2 residual(b) puts x above w less
+    half that width; widening coeff * bound by 1e3 widths covers it and all
+    rounding, and a level equal to bound is never rejected.
     """
     _check_domain(a, b)
     w = coeff * bound

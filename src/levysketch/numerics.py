@@ -10,7 +10,7 @@ take and return Python floats, and skip the ufunc dispatch that costs about
 every routed function against its ufunc bit for bit, over a seeded
 log-uniform grid and the edges of the domain; others check them against
 direct quadrature, series summation and round trips.  Only the bracketed
-root finder is implemented here.
+root finder, an Illinois secant with bisection, is implemented here.
 
 All computation is 64-bit binary floating point.  Results therefore carry a
 small additive error (a few ulps, amplified modestly by root finding); the
@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 from scipy.special.cython_special import erfinv as _erfinv
 from scipy.special.cython_special import gammainc as _gammainc
@@ -114,18 +114,13 @@ def solve_monotone_increasing(
     target: float,
     bracket: tuple[float, float],
     tol: Tolerance = DEFAULT_TOLERANCE,
-    df: Optional[Callable[[float], float]] = None,
-    x0: Optional[float] = None,
 ) -> float:
     """Solve f(w) = target for a nondecreasing f on the bracket.
 
     Maintains a hard bracket at all times, so the result is always inside it.
-    Between bisection steps the next probe comes from a Newton step when df
-    is given, otherwise from an Illinois-damped secant; any probe that falls
-    outside the open bracket is replaced by the midpoint, as is a Newton step
-    once three in a row fail to halve the step before last (rtsafe bisects
-    after one, which moves converging solves).  Stops when the residual or
-    the bracket width meets the tolerance.
+    Each probe comes from an Illinois-damped secant across the bracket; any
+    probe that falls outside the open bracket is replaced by the midpoint.
+    Stops when the residual or the bracket width meets the tolerance.
     """
     lo, hi = bracket
     if not (lo <= hi):
@@ -140,19 +135,11 @@ def solve_monotone_increasing(
     resid_tol = tol.residual(target)
     # Illinois bookkeeping: which endpoint survived the previous update.
     last_side = 0
-    # Newton bookkeeping: the step before last, and the slow steps in a row.
-    step, step_before, slow = hi - lo, hi - lo, 0
-
-    if x0 is not None and lo < x0 < hi:
-        x = x0
-    elif fhi > flo:
-        x = lo + (target - flo) * (hi - lo) / (fhi - flo)
+    for _ in range(tol.max_iter):
+        denom = fhi - flo
+        x = lo + (target - flo) * (hi - lo) / denom if denom > 0.0 else math.inf
         if not (lo < x < hi):
             x = 0.5 * (lo + hi)
-    else:
-        x = 0.5 * (lo + hi)
-
-    for _ in range(tol.max_iter):
         fx = f(x)
         if abs(fx - target) <= resid_tol:
             return x
@@ -168,19 +155,6 @@ def solve_monotone_increasing(
             last_side = +1
         if hi - lo <= tol.abs + tol.rel * abs(x):
             return 0.5 * (lo + hi)
-        if df is not None:
-            slope = df(x)
-            x_next = x - (fx - target) / slope if slope > 0.0 else math.inf
-            slow = slow + 1 if abs(x_next - x) > 0.5 * step_before else 0
-            if slow >= 3:
-                x_next = math.inf
-        else:
-            denom = fhi - flo
-            x_next = lo + (target - flo) * (hi - lo) / denom if denom > 0.0 else math.inf
-        if not (lo < x_next < hi):
-            x_next = 0.5 * (lo + hi)
-        step_before, step = step, abs(x_next - x)
-        x = x_next
     raise NoConvergenceError(
         f"no convergence to {target} within {tol.max_iter} iterations; "
         f"bracket ({lo}, {hi})"

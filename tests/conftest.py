@@ -8,14 +8,17 @@ import levysketch.level as level_module
 
 
 @pytest.fixture
-def solver_calls(monkeypatch) -> Counter:
-    """Counts, under "n", the root solves the level module starts."""
+def full_evals(monkeypatch) -> Counter:
+    """Counts, under "n", the full level evaluations the level module
+    starts: root solves and direct gammaincinv inversions."""
     calls = Counter()
-    original = level_module.solve_monotone_increasing
 
-    def counting(*args, **kwargs):
-        calls["n"] += 1
-        return original(*args, **kwargs)
+    def counting(original):
+        def counted(*args, **kwargs):
+            calls["n"] += 1
+            return original(*args, **kwargs)
+        return counted
 
-    monkeypatch.setattr(level_module, "solve_monotone_increasing", counting)
+    for name in ("solve_monotone_increasing", "gammaincinv"):
+        monkeypatch.setattr(level_module, name, counting(getattr(level_module, name)))
     return calls

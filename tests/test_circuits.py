@@ -359,16 +359,16 @@ def test_propagation_matches_reference():
                              gates, tiny=0.02)
 
 
-def test_rejected_candidates_do_not_reach_the_solver(solver_calls):
+def test_rejected_candidates_do_not_reach_the_solver(full_evals):
     # only the soft-cap and log gates whose value can change the output are
-    # root-solved: on a 20-star with a Zipf stream, a few updates solve
+    # evaluated in full: on a 20-star with a Zipf stream, a few updates are
     rnd = random.Random(126)
     spec = EdgeSamplerSpec(tuple(range(21)), tuple((0, v) for v in range(1, 21)))
     s = EdgeSampler(spec, _oracle(127))
     zipf = [1.0 / (i + 1) ** 1.1 for i in range(21)]
     for v in rnd.choices(range(21), zipf, k=2_000):
         s.update(v, 10.0 ** rnd.uniform(-3.0, 3.0))
-    assert solver_calls["n"] < 0.05 * 2_000
+    assert full_evals["n"] < 0.05 * 2_000
 
 
 def test_spec_validation():

@@ -24,7 +24,7 @@ from levysketch.cli import (
     parse_stream,
 )
 import levysketch
-from levysketch.randomness import parse_seed
+from levysketch.randomness import key_for_string, parse_seed
 
 SEED = parse_seed("c1f00d")
 
@@ -312,15 +312,20 @@ def test_main_solver_failure_exits_2(tmp_path, monkeypatch, capsys):
     assert "error: no convergence" in capsys.readouterr().err
 
 
+# int() refuses decimal strings past 4,300 digits
+_HUGE = "9" * 5_000
+_VERTEX_LINES = (("edge-sample", "edge", "graph"), ("sample", "graph-edge", "circuit"))
+
+
 @pytest.mark.parametrize("command, text, where", [
     ("edge-sample", "edge -1 2\n", "<graph>:1:"),
     ("edge-sample", "edge 18446744073709551616 2\n", "<graph>:"),
     ("sample", "graph-edge -1 2\n", "<circuit>:1:"),
     # int() reads these as 1, 30 and 2; only ASCII digits make a vertex id
     *((command, f"{line} 2 5\n{line} {token} 5\n", f"<{source}>:2:")
-      for command, line, source in (("edge-sample", "edge", "graph"),
-                                    ("sample", "graph-edge", "circuit"))
-      for token in ("\u0661", "3_0", "+2")),
+      for command, line, source in _VERTEX_LINES for token in ("\u0661", "3_0", "+2")),
+    *(pytest.param(command, f"{line} 2 5\n{line} {_HUGE} 5\n", f"<{source}>:2:",
+                   id=f"{command}-5000-digits") for command, line, source in _VERTEX_LINES),
 ])
 def test_main_out_of_range_vertex_exits_2(tmp_path, capsys, command, text, where):
     graph = tmp_path / "g.txt"
@@ -345,6 +350,20 @@ def test_main_edge_sample_key_of_2_64_exits_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "18446744073709551617" in err
     assert "Traceback" not in err
+    stream.write_text(f"{_HUGE} 5\n2 1\n")
+    assert main(["edge-sample", str(graph), str(stream), "--reps", "5", "--seed", "beef"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: edge-sample vertex keys")
+
+
+def test_sample_hashes_a_5000_digit_key_like_any_key_past_2_64(tmp_path):
+    records = parse_stream(f"{_HUGE} 1\n{1 << 64} 2\n", SEED)
+    assert [r.key for r in records] == [key_for_string(SEED, _HUGE),
+                                        key_for_string(SEED, str(1 << 64))]
+    stream = tmp_path / "s.txt"
+    stream.write_text(f"{_HUGE} 1\n1 1\n")
+    out = tmp_path / "r.json"
+    assert main(["sample", str(stream), "--reps", "5", "--seed", "beef", "--out", str(out)]) == 0
 
 
 def test_python_dash_m_runs_the_cli():
@@ -377,7 +396,7 @@ _PINNED = {
     ("edge-sample", None, None): "b23c94942eda2338c8e01472da4a6d88846a83ec460869279f4edcaa18d5cc80",
     # log and softcap root-solve through the incomplete gamma kernels
     ("gsampler", "log", "position"): "5ec7189e642f8762010535c29993c0dfdc8a4f6ce3871012f42e7836d85b5448",
-    ("gsampler", "softcap:1", "position"): "1055e2794e4f10807f1b871dd0ecb83c321b76794b97212190b7c50f8ac95d33",
+    ("gsampler", "softcap:1", "position"): "ce60b564f343e147648119a88648260c237a731144647a072fe565596b423726",
     ("kpareto:2", "log", "position"): "5f41925bd42d023a783906d29bcd581d35870e5ad052c80c20d7d2248822ba1a",
     ("kpareto:2", "softcap:1", "position"): "af683277c7cc833aaa1698c2085628f9d66a63f18636699056d3d4e956041b2e",
 }

@@ -4,6 +4,7 @@ and the exponential transformation law."""
 import math
 from collections import Counter
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -220,8 +221,8 @@ def test_composite_transformation_law():
 
 
 def test_solver_levels_survive_extreme_arguments():
-    # astronomically large first arguments must still solve (bisection
-    # fallback; Newton's density underflows harmlessly)
+    # astronomically large first arguments must still evaluate (softcap at
+    # 1e12 jumps is gammaincinv's, certified by one forward value)
     w = eval_softcap(1.0, 1e12, 0.5)
     assert poisson_tail(10 ** 12, w) == pytest.approx(0.5, abs=1e-6)
     w = eval_log(1e6, 0.5)
@@ -451,22 +452,22 @@ def test_bounded_evaluation_is_the_level_or_inf(grammar, pairs):
                     assert r == full
 
 
-def test_bound_rejects_without_solving(solver_calls):
+def test_bound_rejects_without_solving(full_evals):
     for grammar in ("log", "softcap:1", "scale:3:log"):
         level = LevelFunction(parse_weight(grammar))
         full = level.eval(2.0, 0.4)
-        solver_calls.clear()
+        full_evals.clear()
         assert level.eval(2.0, 0.4, full / 2) == math.inf
         assert level.eval_terms([(2.0, 0.4)], full / 2) == math.inf
-        assert solver_calls["n"] == 0
+        assert full_evals["n"] == 0
         assert level.eval(2.0, 0.4, full) == full
-        assert solver_calls["n"] == 1
+        assert full_evals["n"] == 1
     # the running term minimum bounds the later terms
     level = LevelFunction(parse_weight("sum:c=1,g0=0,atoms=1x1"))
     killed = eval_f0(1.0, 0.1)
-    solver_calls.clear()
+    full_evals.clear()
     assert level.eval_terms([(1.0, 0.1), (5.0, 0.9)], 10.0) == killed
-    assert solver_calls["n"] == 0
+    assert full_evals["n"] == 0
     # past _CENTRED, where levels are their centres: a = inf (a subnormal
     # delta) keeps level inf, and softcap's 2e300 lies above a bound of 1
     assert LevelFunction(Log()).eval(math.inf, 0.3, 1.0) == math.inf
@@ -492,11 +493,56 @@ def _within_tolerance(forward, w, b):
 
 
 def test_softcap_converges_at_large_shapes():
-    # Newton steps with a poor slope crawl across the bracket at these
-    # shapes; three slow steps in a row now bisect
+    # gammaincinv's level fails the forward check at these shapes, where
+    # gammainc itself loses digits, and the bracketed solver takes over
     for a in (3.16e10, 1e13):
         w = eval_softcap(1.0, a, 1e-9)
         assert _within_tolerance(lambda x: poisson_tail(math.ceil(a), x), w, 1e-9)
+
+
+def _softcap_level_mp(k: int, b: float) -> float:
+    """The w with P(k, w) = b at 40 digits: Newton on the log of the tail
+    against log w, the upper tail Q(k, w) = 1 - b for b above 1/2."""
+    with mpmath.workdps(40):
+        b = mpmath.mpf(b)
+        upper = b > 0.5
+        target = mpmath.log1p(-b) if upper else mpmath.log(b)
+        t = mpmath.log(k)
+        for _ in range(200):
+            x = mpmath.exp(t)
+            if upper:
+                log_tail = mpmath.log(mpmath.gammainc(k, x, mpmath.inf, regularized=True))
+            else:
+                log_tail = (k * t - x - mpmath.loggamma(k + 1)
+                            + mpmath.log(mpmath.hyp1f1(1, k + 1, x)))
+            # d log P / d log w = w times the Gamma(k) density over P; Q falls
+            slope = mpmath.exp(k * t - x - mpmath.loggamma(k) - log_tail)
+            step = (log_tail - target) / (-slope if upper else slope)
+            t -= step
+            if abs(step) < mpmath.mpf(10) ** -35:
+                return mpmath.exp(t)
+    raise AssertionError(f"oracle did not converge at k={k}, b={b}")
+
+
+def test_softcap_matches_mpmath_in_both_tails():
+    worst = {}
+    for k in (1, 2, 7, 50, 10 ** 3, 10 ** 5):
+        for b in (1e-300, 1e-15, 1e-12, 1e-6, 0.3, 0.5, 0.9, 1 - 1e-9, 1 - 2.0 ** -53):
+            exact = _softcap_level_mp(k, b)
+            worst[k, b] = float(abs(eval_softcap(1.0, float(k), b) - exact) / exact)
+    assert max(worst.values()) <= 1e-13, max(worst.items(), key=lambda kv: kv[1])
+
+
+def test_softcap_monotone_in_b_into_both_tails():
+    n = 2_000
+    bs = [10.0 ** (-300 + 300 * i / n) * 0.5 ** (i / n) for i in range(n)]
+    bs += [1.0 - 10.0 ** (-16 + 16 * i / n) * 0.5 ** (i / n) for i in range(n)]
+    bs = sorted(set(bs))
+    assert len(bs) > 3_500 and bs[0] < 1e-299 and bs[-1] > 1 - 1e-15
+    for k in (1, 2, 7, 50, 10 ** 3, 10 ** 5, 10 ** 7):
+        levels = [eval_softcap(1.0, float(k), b) for b in bs]
+        drops = [(bs[i], bs[i + 1]) for i in range(len(bs) - 1) if levels[i + 1] < levels[i]]
+        assert drops == [], (k, len(drops), drops[:3])
 
 
 def test_log_resolves_targets_below_the_absolute_tolerance():

@@ -795,7 +795,7 @@ def test_kmin_threshold():
     assert state.threshold(6) == 1.0
 
 
-def test_rejected_candidates_do_not_reach_the_solver(solver_calls):
+def test_rejected_candidates_do_not_reach_the_solver(full_evals):
     # only candidates that can change the state are root-solved: a log
     # GSampler on a Zipf stream solves for a few of its updates
     rnd = random.Random(124)
@@ -803,7 +803,7 @@ def test_rejected_candidates_do_not_reach_the_solver(solver_calls):
     s = GSampler(LevelFunction(Log()), _oracle(125))
     for key in rnd.choices(range(1_000), zipf, k=2_000):
         s.update(key, 10.0 ** rnd.uniform(-3.0, 3.0))
-    assert solver_calls["n"] < 0.05 * 2_000
+    assert full_evals["n"] < 0.05 * 2_000
 
 
 @pytest.mark.parametrize("g, same", [
@@ -916,7 +916,7 @@ def test_bounded_top_equals_full_ranking(k, seed, n_keys, n_updates):
             assert s.frontier.top(level, j) == ranked[:j]
 
 
-def test_bounded_query_solves_under_half_the_frontier(solver_calls):
+def test_bounded_query_solves_under_half_the_frontier(full_evals):
     # full evaluation solves every retained point under log; a top-8 query
     # solves only those that can still enter the running top 8
     rnd = random.Random(126)
@@ -925,10 +925,10 @@ def test_bounded_query_solves_under_half_the_frontier(solver_calls):
         s.update(key, 10.0 ** rnd.uniform(-2.0, 2.0))
     level = LevelFunction(Log())
     expected = s.frontier.ranked(level)[:8]
-    assert solver_calls["n"] == len(s.frontier)
-    solver_calls.clear()
+    assert full_evals["n"] == len(s.frontier)
+    full_evals.clear()
     assert [key for _, key in expected] == s.query(level)
-    assert solver_calls["n"] <= len(s.frontier) / 2
+    assert full_evals["n"] <= len(s.frontier) / 2
 
 
 # --- replay -------------------------------------------------------------------
