@@ -31,6 +31,7 @@ a log gate and a halving scalar gate per edge.
 
 from __future__ import annotations
 
+import copy
 import math
 import struct
 from dataclasses import dataclass
@@ -82,8 +83,8 @@ class ScalarGate:
     alpha: float
 
     def __post_init__(self) -> None:
-        if not (self.alpha > 0):
-            raise ValueError(f"alpha must be positive, got {self.alpha}")
+        if not (0 < self.alpha < math.inf):
+            raise ValueError(f"alpha must be positive and finite, got {self.alpha}")
 
 
 class GGate:
@@ -240,6 +241,26 @@ class Circuit:
             units[gate_id] = u
         return u
 
+    def _compiled(self) -> dict:
+        """The compiled paths; ValueError if the circuit breaks a structural rule."""
+        if self._paths is None:
+            violation = self.validate()
+            if violation is not None:
+                raise ValueError(
+                    f"invalid circuit: gate {violation.gate_id!r}: {violation.reason}")
+        return self._paths
+
+    def fork(self) -> "Circuit":
+        """A circuit over this one's gates and compiled paths, with output
+        state (every output gate empty) and gate seeds of its own.  The two
+        share their gates and wires, so build a circuit before forking it.
+        ValueError if the circuit breaks a structural rule."""
+        self._compiled()
+        twin = copy.copy(self)
+        twin._out_state = dict.fromkeys(self._out_state, (None, math.inf))
+        twin._unit_cache = {}
+        return twin
+
     def update(self, input_gate, delta: float, rng: FreshSource,
                oracle: OracleHash) -> None:
         """Process one update arriving at an input gate.
@@ -250,12 +271,7 @@ class Circuit:
         for a value that can change the output.  Only output-gate state
         survives.  ValueError if the circuit breaks a structural rule.
         """
-        if self._paths is None:
-            violation = self.validate()
-            if violation is not None:
-                raise ValueError(
-                    f"invalid circuit: gate {violation.gate_id!r}: {violation.reason}")
-        paths = self._paths.get(input_gate)
+        paths = self._compiled().get(input_gate)
         if paths is None:
             raise ValueError(f"{input_gate!r} is not an input gate")
         if not (delta > 0):
@@ -292,12 +308,6 @@ class Circuit:
 
     def output_gate_ids(self) -> list:
         return list(self._out_state)
-
-    def reset_state(self) -> None:
-        """Clear output-gate state (and cached gate seeds) for a fresh run."""
-        for gate_id in self._out_state:
-            self._out_state[gate_id] = (None, math.inf)
-        self._unit_cache.clear()
 
 
 def build_flat_circuit(weights_by_key: dict[int, LevelFunction],
@@ -429,13 +439,13 @@ def build_edge_sampler(spec: EdgeSamplerSpec) -> Circuit:
 class CircuitSketch:
     """A circuit as a sketch: update(key, delta) feeds the key's input gate,
     if any (a key without one cannot change an output), and query() is one
-    output gate's (identifier, value).  Construction clears the circuit's
-    state, so one circuit can serve one run after another."""
+    output gate's (identifier, value).  Each sketch runs its own fork of the
+    circuit, so one circuit serves any number of sketches, at once or in
+    turn."""
 
     def __init__(self, circuit: Circuit, inputs: dict, output_id,
                  oracle: OracleHash = OracleHash(), fresh: Optional[FreshSource] = None):
-        circuit.reset_state()
-        self.circuit = circuit
+        self.circuit = circuit.fork()
         self.inputs = inputs
         self.output_id = output_id
         self.oracle = oracle
@@ -459,4 +469,3 @@ class EdgeSampler(CircuitSketch):
         circuit = build_edge_sampler(spec)
         inputs = {v: ("in", v) for v in spec.vertices if ("in", v) in circuit.gates}
         super().__init__(circuit, inputs, "out", oracle, fresh)
-        self.spec = spec

@@ -123,6 +123,11 @@ def parse_graph(text: str, source: str = "<graph>") -> EdgeSamplerSpec:
         edges.append(_vertex_ids(parts[1:], f"{source}:{lineno}"))
     if not edges:
         raise StreamParseError(f"{source}: no edges")
+    return _graph_spec(edges, source)
+
+
+def _graph_spec(edges: list[tuple[int, ...]], source: str) -> EdgeSamplerSpec:
+    """The graph of these edges over the vertices they touch."""
     vertices = tuple(sorted({v for e in edges for v in e}))
     try:
         return EdgeSamplerSpec(vertices, tuple(edges))
@@ -161,12 +166,8 @@ def load_circuit_file(text: str, source: str = "<circuit>") -> LoadedCircuit:
         if gate_lines or wire_lines:
             raise StreamParseError(
                 f"{source}: graph-edge shorthand cannot be mixed with explicit gates")
-        vertices = tuple(sorted({v for e in edge_lines for v in e}))
-        try:
-            spec = EdgeSamplerSpec(vertices, tuple(edge_lines))
-        except ValueError as exc:
-            raise StreamParseError(f"{source}: {exc}") from None
-        return LoadedCircuit(build_edge_sampler(spec), {str(v): ("in", v) for v in vertices})
+        spec = _graph_spec(edge_lines, source)
+        return LoadedCircuit(build_edge_sampler(spec), {str(v): ("in", v) for v in spec.vertices})
     c = Circuit()
     for lineno, gate_id, kind in gate_lines:
         try:
@@ -304,8 +305,6 @@ def cmd_sample(config: RunConfig, records: list[StreamRecord],
             k = int(param)
         except ValueError:
             raise ValueError(f"bad sketch k in {config.sketch!r}") from None
-        if k < 1:
-            raise ValueError(f"sketch k must be >= 1, got {k}")
 
     level = LevelFunction(parse_weight(config.grammar))
     display_of = {}
@@ -376,7 +375,7 @@ def cmd_edge_sample(graph_text: str, records: list[StreamRecord],
                                    f"integers below 2^64, got {r.display!r}")
         masses[r.key] = masses.get(r.key, 0.0) + r.delta
     stream = [(r.key, r.delta) for r in records]
-    # one compiled circuit serves every rep: a CircuitSketch clears its state
+    # one compiled circuit serves every rep: each CircuitSketch runs a fork of it
     edge = EdgeSampler(spec)
     for sampler in replay(
             lambda oracle: CircuitSketch(edge.circuit, edge.inputs, edge.output_id, oracle),

@@ -51,12 +51,14 @@ from typing import Callable, NamedTuple, Optional
 
 from scipy.special.cython_special import gammaincinv
 
-from .numerics import DEFAULT_TOLERANCE as _TOL
 from .numerics import (
     inv_erf,
+    meets_contract,
     poisson_tail,
     regularized_gamma_q,
+    residual,
     solve_monotone_increasing,
+    stop_width,
 )
 
 __all__ = [
@@ -127,8 +129,8 @@ class WeightFunction:
         for kind, _, coeff in self.terms:
             if kind not in _KINDS:
                 raise ValueError(f"unknown term kind {kind!r}")
-            if not (coeff > 0):
-                raise ValueError(f"term coefficient must be positive, got {coeff}")
+            if not (0 < coeff < math.inf):  # at inf every level would be 0
+                raise ValueError(f"term coefficient must be positive and finite, got {coeff}")
 
 
 def F0() -> WeightFunction:
@@ -247,10 +249,10 @@ def eval_softcap(tau: float, a: float, b: float) -> float:
     reaches level a once it has made k = ceil(a/tau) jumps (dividing by the
     jump size; at tau = 1 the two readings coincide).  P(Poisson(w) >= k)
     is the regularized lower incomplete gamma P(k, w), so the level is its
-    inverse gammaincinv(k, b).  That is kept when one forward value shows it
-    meets the solver's stopping contract; otherwise (jump counts near 1e6
-    and beyond, where the forward kernel itself loses digits) the solver
-    finds the level.
+    inverse gammaincinv(k, b).  That is kept when numerics.meets_contract
+    finds it within the solver's stopping contract; otherwise (jump counts
+    near 1e6 and beyond, where the forward kernel itself loses digits) the
+    solver finds the level from k.
     """
     if not (tau > 0):
         raise ValueError(f"tau must be positive, got {tau}")
@@ -259,17 +261,12 @@ def eval_softcap(tau: float, a: float, b: float) -> float:
     if jumps > _CENTRED:
         return jumps
     k = max(math.ceil(jumps), 1)
+
+    def f(w: float) -> float:
+        return poisson_tail(k, w)
+
     w = gammaincinv(k, b)
-    if abs(poisson_tail(k, w) - b) <= _TOL.residual(b):
-        return w
-    half = 0.5 * (_TOL.abs + _TOL.rel * w)
-    if poisson_tail(k, max(w - half, 0.0)) <= b <= poisson_tail(k, w + half):
-        return w
-
-    def f(x: float) -> float:
-        return poisson_tail(k, x)
-
-    return solve_monotone_increasing(f, b, _bracket(f, b, float(k)))
+    return w if meets_contract(f, w, b) else solve_monotone_increasing(f, b, float(k))
 
 
 def eval_log(a: float, b: float) -> float:
@@ -281,43 +278,24 @@ def eval_log(a: float, b: float) -> float:
     def f(w: float) -> float:
         return regularized_gamma_q(w, a)
 
-    return solve_monotone_increasing(f, b, _bracket(f, b, max(a, 1.0)))
-
-
-def _bracket(f: Callable[[float], float], b: float, centre: float) -> tuple[float, float]:
-    """A bracket (lo, hi) on the root of f(w) = b for an increasing f:
-    halve lo from centre until f(lo) <= b, then double hi from centre until
-    f(hi) >= b.  ValueError when no lo is found."""
-    lo = hi = centre
-    for _ in range(200):
-        if f(lo) <= b:
-            break
-        lo /= 2.0
-    else:
-        raise ValueError(f"could not bracket f(w) = {b} below from {centre}")
-    for _ in range(200):
-        if f(hi) >= b:
-            break
-        hi *= 2.0
-    return lo, hi
+    return solve_monotone_increasing(f, b, max(a, 1.0))
 
 
 def _above(forward, param, coeff, a, b, bound) -> bool:
     """True when one forward value proves a term's level above bound.
 
-    A level comes from the solver or, for softcap, from gammaincinv.  The
-    solver returns an x with forward(x) >= b - residual(b), or the midpoint
-    of a bracket whose top has forward >= b and whose width is at most
-    abs + rel * x.  eval_softcap keeps gammaincinv's x only under the same
-    contract: forward(x) >= b - residual(b), or forward >= b half such a
-    width above x.  So forward(w) < b - 2 residual(b) puts x above w less
-    half that width; widening coeff * bound by 1e3 widths covers it and all
-    rounding, and a level equal to bound is never rejected.
+    A level comes from numerics.solve_monotone_increasing or, for softcap,
+    from gammaincinv kept by numerics.meets_contract.  Either way numerics'
+    stopping contract holds at the level x: forward(x) >= b - residual(b),
+    or forward(x + stop_width(x) / 2) >= b.  So forward(w) < b - 2 residual(b)
+    puts x above w less half a stopping width; widening coeff * bound by 1e3
+    stopping widths covers that and all rounding, and a level equal to bound
+    is never rejected.
     """
     _check_domain(a, b)
     w = coeff * bound
-    w += 1e3 * (_TOL.abs + _TOL.rel * w)
-    return forward(param, a, w) < b - 2.0 * _TOL.residual(b)
+    w += 1e3 * stop_width(w)
+    return forward(param, a, w) < b - 2.0 * residual(b)
 
 
 class LevelFunction:

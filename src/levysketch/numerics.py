@@ -1,4 +1,4 @@
-"""Special functions and bracketed monotone root finding.
+"""Special functions and monotone root finding under one stopping contract.
 
 Everything in this module is a pure function of its arguments.  The special
 functions are scipy's C kernels for the inverse error function and the
@@ -9,8 +9,15 @@ take and return Python floats, and skip the ufunc dispatch that costs about
 1.3 us per scalar call, several times the kernel itself.  A test checks
 every routed function against its ufunc bit for bit, over a seeded
 log-uniform grid and the edges of the domain; others check them against
-direct quadrature, series summation and round trips.  Only the bracketed
-root finder, an Illinois secant with bisection, is implemented here.
+direct quadrature, series summation and round trips.
+
+The root finder is the one numerical inverse implemented here, and REL, ABS
+and MAX_ITER are the one stopping contract every inverse in the library
+meets.  A solve of f(x) = target stops once |f(x) - target| <= residual(target),
+or returns the midpoint of a bracket no wider than stop_width of its last
+probe; meets_contract holds an x found another way (gammaincinv) to the
+same rule.  Either way f(x) >= target - residual(target), or f is >= target
+half a stopping width above x: level._above's rejection proof rests on that.
 
 All computation is 64-bit binary floating point.  Results therefore carry a
 small additive error (a few ulps, amplified modestly by root finding); the
@@ -21,7 +28,6 @@ anything observable at realistic sample sizes, rather than as a failure mode.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 from scipy.special.cython_special import erfinv as _erfinv
@@ -29,52 +35,54 @@ from scipy.special.cython_special import gammainc as _gammainc
 from scipy.special.cython_special import gammaincc as _gammaincc
 
 __all__ = [
-    "Tolerance",
-    "DEFAULT_TOLERANCE",
+    "REL",
+    "ABS",
+    "MAX_ITER",
     "BracketError",
     "NoConvergenceError",
     "inv_erf",
     "regularized_gamma_q",
     "poisson_tail",
+    "residual",
+    "stop_width",
+    "meets_contract",
     "solve_monotone_increasing",
 ]
 
 
 class BracketError(ValueError):
-    """The supplied bracket does not enclose the target value."""
+    """No bracket encloses the target value."""
 
 
 class NoConvergenceError(ValueError):
     """Root finding failed to meet tolerance within the iteration cap."""
 
 
-@dataclass(frozen=True)
-class Tolerance:
-    """Accuracy contract for iterative numerics.
-
-    rel and abs bound the acceptable residual / bracket width, max_iter caps
-    the number of function evaluations a solver may spend.
-    """
-
-    rel: float = 1e-12
-    abs: float = 1e-15
-    max_iter: int = 200
-
-    def __post_init__(self) -> None:
-        if not (self.rel > 0):
-            raise ValueError(f"rel must be positive, got {self.rel}")
-        if not (self.abs > 0):
-            raise ValueError(f"abs must be positive, got {self.abs}")
-        if self.max_iter < 1:
-            raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
-
-    def residual(self, target: float) -> float:
-        """Accepted |f(x) - target|: rel * |target| under abs, else the larger."""
-        scaled = self.rel * abs(target)
-        return scaled if abs(target) < self.abs else max(self.abs, scaled)
+# the stopping contract: relative and absolute accuracy, evaluations per loop
+REL = 1e-12
+ABS = 1e-15
+MAX_ITER = 200
 
 
-DEFAULT_TOLERANCE = Tolerance()
+def residual(target: float) -> float:
+    """Accepted |f(x) - target|: REL * |target| under ABS, else the larger."""
+    scaled = REL * abs(target)
+    return scaled if abs(target) < ABS else max(ABS, scaled)
+
+
+def stop_width(x: float) -> float:
+    """The bracket width at which a solve near x stops: ABS + REL * |x|."""
+    return ABS + REL * abs(x)
+
+
+def meets_contract(f: Callable[[float], float], x: float, target: float) -> bool:
+    """True when x could be a solver's answer to f(x) = target for an
+    increasing f on [0, inf): f(x) is within residual(target) of target, or
+    target lies between f half a stopping width either side of x."""
+    if abs(f(x) - target) <= residual(target):
+        return True
+    half = 0.5 * stop_width(x)
+    return f(max(x - half, 0.0)) <= target <= f(x + half)
 
 
 def inv_erf(b: float) -> float:
@@ -109,33 +117,39 @@ def poisson_tail(k: int, w: float) -> float:
     return _gammainc(k, w)
 
 
-def solve_monotone_increasing(
-    f: Callable[[float], float],
-    target: float,
-    bracket: tuple[float, float],
-    tol: Tolerance = DEFAULT_TOLERANCE,
-) -> float:
-    """Solve f(w) = target for a nondecreasing f on the bracket.
+def solve_monotone_increasing(f: Callable[[float], float], target: float,
+                              centre: float) -> float:
+    """Solve f(w) = target for a nondecreasing f on (0, inf), from centre > 0.
 
-    Maintains a hard bracket at all times, so the result is always inside it.
-    Each probe comes from an Illinois-damped secant across the bracket; any
-    probe that falls outside the open bracket is replaced by the midpoint.
-    Stops when the residual or the bracket width meets the tolerance.
+    The bracket: lo halves from centre until f(lo) <= target (MAX_ITER
+    values), then hi doubles from centre until f(hi) >= target (MAX_ITER
+    doublings), else BracketError.  The secant starts from those f(lo) and
+    f(hi), so no point is evaluated twice.  Each probe is an Illinois-damped
+    secant step, or the midpoint when that leaves the open bracket, until
+    residual(target) or stop_width stops the search (NoConvergenceError
+    after MAX_ITER probes).
     """
-    lo, hi = bracket
-    if not (lo <= hi):
-        raise BracketError(f"invalid bracket ({lo}, {hi})")
-    flo = f(lo)
-    fhi = f(hi)
-    if flo > target:
-        raise BracketError(f"f(lo) = {flo} exceeds target {target}")
+    lo = hi = centre
+    flo = fhi = f(centre)
+    for _ in range(MAX_ITER - 1):
+        if flo <= target:
+            break
+        lo /= 2.0
+        flo = f(lo)
+    if not (flo <= target):
+        raise BracketError(f"could not bracket f(w) = {target} below from {centre}")
+    for _ in range(MAX_ITER):
+        if fhi >= target:
+            break
+        hi *= 2.0
+        fhi = f(hi)
     if fhi < target:
-        raise BracketError(f"f(hi) = {fhi} is below target {target}")
+        raise BracketError(f"could not bracket f(w) = {target} above from {centre}")
 
-    resid_tol = tol.residual(target)
+    resid_tol = residual(target)
     # Illinois bookkeeping: which endpoint survived the previous update.
     last_side = 0
-    for _ in range(tol.max_iter):
+    for _ in range(MAX_ITER):
         denom = fhi - flo
         x = lo + (target - flo) * (hi - lo) / denom if denom > 0.0 else math.inf
         if not (lo < x < hi):
@@ -153,9 +167,9 @@ def solve_monotone_increasing(
             if last_side == +1:
                 flo = 0.5 * (flo - target) + target
             last_side = +1
-        if hi - lo <= tol.abs + tol.rel * abs(x):
+        if hi - lo <= stop_width(x):
             return 0.5 * (lo + hi)
     raise NoConvergenceError(
-        f"no convergence to {target} within {tol.max_iter} iterations; "
+        f"no convergence to {target} within {MAX_ITER} iterations; "
         f"bracket ({lo}, {hi})"
     )

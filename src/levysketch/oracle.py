@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import permutations
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from scipy.stats import chi2 as _chi2
 
@@ -130,17 +130,13 @@ def exact_wor_distribution(x: Mapping, g: WeightFunction, k: int) -> dict:
     return out
 
 
-def exact_edge_distribution(
-    edges: Iterable[tuple],
-    x: Mapping,
-    weight: Callable[..., float] = edge_weight,
-) -> ExactDistribution:
-    """Edge sampled with probability proportional to the weight of its
+def exact_edge_distribution(edges: Iterable[tuple], x: Mapping) -> ExactDistribution:
+    """Edge sampled with probability proportional to edge_weight of its
     endpoint masses (missing vertices count as mass zero)."""
     support = sorted(tuple(sorted(e)) for e in edges)
     if not support:
         raise ValueError("empty edge set")
-    weights = [weight(*(float(x.get(v, 0.0)) for v in e)) for e in support]
+    weights = [edge_weight(*(float(x.get(v, 0.0)) for v in e)) for e in support]
     total = math.fsum(weights)
     if total <= 0:
         raise ValueError("every edge has zero weight")

@@ -78,6 +78,7 @@ _TAG_WOR = 3
 _TAG_KPARETO = 4
 
 _KEY_LIMIT = 1 << 64
+_K_LIMIT = 1 << 32  # frames store k in 32 bits
 
 
 def _check_update(key: int, delta: float) -> None:
@@ -114,8 +115,8 @@ class KMinState:
     __slots__ = ("k", "_h", "_worst")
 
     def __init__(self, k: int) -> None:
-        if k < 1:
-            raise ValueError(f"k must be >= 1, got {k}")
+        if not (1 <= k < _K_LIMIT):
+            raise ValueError(f"k must lie in [1, 2^32), got {k}")
         self.k = k
         self._h: dict[int, float] = {}
         self._worst: Optional[tuple[float, int]] = None
@@ -182,8 +183,8 @@ class KParetoFrontier:
     __slots__ = ("k", "_tuples", "_counts", "_by_key")
 
     def __init__(self, k: int) -> None:
-        if k < 1:
-            raise ValueError(f"k must be >= 1, got {k}")
+        if not (1 <= k < _K_LIMIT):
+            raise ValueError(f"k must lie in [1, 2^32), got {k}")
         self.k = k
         self._tuples: list[ParetoTuple] = []
         self._counts: list[int] = []

@@ -475,12 +475,32 @@ def test_isolated_vertex_never_sampled():
     assert s.query()[0] == (1, 2)
 
 
-def test_reset_state():
-    c = build_flat_circuit({1: F1_LEVEL})
-    c.update(("in", 1), 1.0, FreshSource(SEED), _oracle(0))
-    assert c.output("out") is not None
-    c.reset_state()
-    assert c.output("out") is None
+def test_sketches_over_one_circuit_keep_their_own_state():
+    circuit = build_flat_circuit({1: FHALF_LEVEL, 2: FHALF_LEVEL})
+    inputs = {1: ("in", 1), 2: ("in", 2)}
+    a = CircuitSketch(circuit, inputs, "out", _oracle(1))
+    a.update(1, 1.0)
+    first = a.query()
+    assert first is not None
+    # a second sketch on the same circuit starts empty and leaves a alone
+    b = CircuitSketch(circuit, inputs, "out", _oracle(2))
+    assert b.query() is None
+    assert a.query() == first
+    scalars = (GSampler(FHALF_LEVEL, _oracle(1)), GSampler(FHALF_LEVEL, _oracle(2)))
+    scalars[0].update(1, 1.0)
+    for key, delta in ((2, 3.0), (1, 0.5), (2, 0.25), (1, 4.0)):
+        for sketch, scalar in zip((a, b), scalars):
+            sketch.update(key, delta)
+            scalar.update(key, delta)
+            assert sketch.query() == scalar.query()
+    assert a.query() != b.query()
+    assert circuit.output("out") is None  # the circuit itself runs nothing
+
+
+def test_scalar_gate_rejects_non_finite_alpha():
+    for bad in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="alpha"):
+            ScalarGate(bad)
 
 
 def _directed_pair_circuit():

@@ -251,6 +251,12 @@ def test_main_exit_codes(tmp_path, capsys):
     good.write_text("1 1\n")
     assert main(["sample", str(good), "--sketch", "wor:0"]) == 2
     assert main(["sample", str(good), "--seed", "zz"]) == 2
+    capsys.readouterr()
+    # k past the frames' 32-bit field, and a weight whose levels would all be 0
+    for args in (["--sketch", "wor:5000000000"], ["--sketch", "kpareto:4294967296"],
+                 ["--g", "scale:inf:f1"], ["--g", "sum:c=inf,g0=0,atoms="]):
+        assert main(["sample", str(good), "--reps", "3", *args]) == 2, args
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_main_verify_exit_codes(monkeypatch, tmp_path):

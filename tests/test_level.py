@@ -33,7 +33,7 @@ from levysketch.level import (
     weight_value,
 )
 import levysketch.level as level_module
-from levysketch.numerics import DEFAULT_TOLERANCE, poisson_tail, regularized_gamma_q
+from levysketch.numerics import poisson_tail, regularized_gamma_q, residual, stop_width
 from levysketch.oracle import ks_test_exponential
 from levysketch.randomness import FreshSource, fresh_exp, parse_seed
 
@@ -281,6 +281,22 @@ def test_weight_validation():
         WeightFunction((Term("f1", 0.0, 0.0),))
 
 
+def test_weights_reject_infinite_coefficients():
+    # at an infinite coefficient every level would be 0
+    for build in (lambda: WeightFunction((Term("log", 0.0, math.inf),)),
+                  lambda: WeightFunction((Term("f1", 0.0, math.nan),)),
+                  lambda: Scaled(math.inf, Log()),
+                  lambda: Scaled(1e300, Scaled(1e300, F1())),  # overflows to inf
+                  lambda: KilledDriftSum(c=math.inf),
+                  lambda: KilledDriftSum(atoms=((math.inf, 1.0),)),
+                  lambda: parse_weight("scale:inf:log"),
+                  lambda: parse_weight("sum:c=inf,g0=0,atoms="),
+                  lambda: parse_weight("sum:c=0,g0=1,atoms=infx1")):
+        with pytest.raises(ValueError, match="finite"):
+            build()
+    assert Scaled(1e300, Scaled(1e8, F1())).terms[0].coeff == 1e308
+
+
 def test_grammar_round_trip():
     for text in ("f0", "f1", "fhalf", "log", "softcap:0.5", "scale:2:f1",
                  "scale:0.5:softcap:3", "sum:c=1,g0=0.5,atoms=2x0.5;1x3",
@@ -484,17 +500,16 @@ def test_bound_keeps_domain_errors():
 
 
 def _within_tolerance(forward, w, b):
-    """w is where a solver stopping at DEFAULT_TOLERANCE may stop for
+    """w is where a solver meeting numerics' stopping contract may stop for
     forward(w) = b: inside one stopping width of the crossing, up to the
     residual."""
-    tol = DEFAULT_TOLERANCE
-    width, resid = tol.abs + tol.rel * w, tol.residual(b)
+    width, resid = stop_width(w), residual(b)
     return forward(w - width) <= b + resid and forward(w + width) >= b - resid
 
 
 def test_softcap_converges_at_large_shapes():
     # gammaincinv's level fails the forward check at these shapes, where
-    # gammainc itself loses digits, and the bracketed solver takes over
+    # gammainc itself loses digits, and the solver takes over
     for a in (3.16e10, 1e13):
         w = eval_softcap(1.0, a, 1e-9)
         assert _within_tolerance(lambda x: poisson_tail(math.ceil(a), x), w, 1e-9)

@@ -11,23 +11,17 @@ from scipy.special import erf as scipy_erf
 
 from levysketch import level
 from levysketch.numerics import (
+    MAX_ITER,
     BracketError,
     NoConvergenceError,
-    Tolerance,
     inv_erf,
+    meets_contract,
     poisson_tail,
     regularized_gamma_q,
+    residual,
     solve_monotone_increasing,
+    stop_width,
 )
-
-
-def test_tolerance_validation():
-    with pytest.raises(ValueError):
-        Tolerance(rel=0.0)
-    with pytest.raises(ValueError):
-        Tolerance(abs=-1e-9)
-    with pytest.raises(ValueError):
-        Tolerance(max_iter=0)
 
 
 def test_inv_erf_frozen_value():
@@ -200,45 +194,103 @@ def test_kernels_return_python_floats():
 
 
 def test_solver_identity():
-    x = solve_monotone_increasing(lambda w: w, 3.5, (0.0, 10.0))
+    x = solve_monotone_increasing(lambda w: w, 3.5, 5.0)
     assert x == pytest.approx(3.5, abs=1e-12)
 
 
 def test_solver_exponential_cdf():
-    x = solve_monotone_increasing(lambda w: -math.expm1(-w), 0.5, (0.0, 10.0))
+    x = solve_monotone_increasing(lambda w: -math.expm1(-w), 0.5, 10.0)
     assert x == pytest.approx(math.log(2), abs=1e-10)
 
 
 def test_solver_gamma_shape():
     f = lambda w: regularized_gamma_q(w, math.log(2))
-    x = solve_monotone_increasing(f, 0.5, (1e-6, 30.0))
+    x = solve_monotone_increasing(f, 0.5, 30.0)
     assert x == pytest.approx(1.0, abs=1e-9)
 
 
+def _centred_bracket(f, target, centre):
+    """The bracket the solver promises: lo halved from centre until
+    f(lo) <= target, hi doubled from centre until f(hi) >= target."""
+    lo = hi = centre
+    while f(lo) > target:
+        lo /= 2.0
+    while f(hi) < target:
+        hi *= 2.0
+    return lo, hi
+
+
 def test_solver_stays_in_bracket():
-    import random
     rnd = random.Random(5)
     for _ in range(200):
         a = rnd.uniform(0.1, 3.0)
-        lo = rnd.uniform(0.0, 2.0)
-        hi = lo + rnd.uniform(0.5, 6.0)
         f = lambda w: a * w ** 3
-        target = rnd.uniform(f(lo), f(hi))
-        x = solve_monotone_increasing(f, target, (lo, hi))
+        target = rnd.uniform(1e-6, 1e6)
+        centre = _log_uniform(rnd, 1e-3, 1e3)
+        lo, hi = _centred_bracket(f, target, centre)
+        x = solve_monotone_increasing(f, target, centre)
         assert lo <= x <= hi
+        assert meets_contract(f, x, target)
 
 
 def test_solver_bracket_errors():
-    with pytest.raises(BracketError):
-        solve_monotone_increasing(lambda w: w, -1.0, (0.0, 5.0))
-    with pytest.raises(BracketError):
-        solve_monotone_increasing(lambda w: w, 9.0, (0.0, 5.0))
-    with pytest.raises(BracketError):
-        solve_monotone_increasing(lambda w: w, 1.0, (5.0, 0.0))
+    # below: f(lo) stays above the target for every lo halved from centre
+    points = []
+    with pytest.raises(BracketError, match="below"):
+        solve_monotone_increasing(lambda w: points.append(w) or w, -1.0, 5.0)
+    assert points == [5.0 / 2.0 ** i for i in range(MAX_ITER)]
+    # above: f(hi) stays below the target for every hi doubled from centre
+    points.clear()
+    with pytest.raises(BracketError, match="above"):
+        solve_monotone_increasing(lambda w: points.append(w) or min(w, 5.0), 9.0, 1.0)
+    assert points == [2.0 ** i for i in range(MAX_ITER + 1)]
+    for centre in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(BracketError):
+            solve_monotone_increasing(lambda w: w, 1.0, centre)
+    assert issubclass(BracketError, ValueError)
 
 
 def test_solver_no_convergence():
-    step = lambda w: 0.0 if w < 5.0 else 1.0
+    # the log of a point mass's CDF: -inf tells the secant nothing, so the
+    # solver bisects, and 2^180 down to a width of 1e-15 takes more than
+    # MAX_ITER halvings
+    points = []
+
+    def log_step(w):
+        points.append(w)
+        return 0.0 if w >= 3e-3 else -math.inf
+
     with pytest.raises(NoConvergenceError):
-        solve_monotone_increasing(step, 0.5, (0.0, 10.0),
-                                  Tolerance(rel=1e-15, abs=1e-18, max_iter=8))
+        solve_monotone_increasing(log_step, math.log(0.5), 2.0 ** 180)
+    # the bracket ends at lo = 2^-9, then the secant spends the whole cap
+    assert len(points) - points.index(2.0 ** -9) - 1 == MAX_ITER
+
+
+def test_solver_evaluates_no_point_twice(monkeypatch):
+    points = []
+
+    def recording(s, a):
+        points.append(s)
+        return regularized_gamma_q(s, a)
+
+    monkeypatch.setattr(level, "regularized_gamma_q", recording)
+    rnd = random.Random(8)
+    for _ in range(200):
+        a = _log_uniform(rnd, 1e-3, 1e6)
+        b = rnd.uniform(0.0, 1.0) or 0.5
+        points.clear()
+        level.eval_log(a, b)
+        assert len(points) == len(set(points)) > 1, (a, b)
+
+
+def test_stopping_contract():
+    assert residual(0.5) == 5e-13 and residual(1e-14) == 1e-15
+    assert residual(2.0 ** -64) == 1e-12 * 2.0 ** -64  # below ABS: relative
+    assert stop_width(0.0) == 1e-15 and stop_width(-2.0) == stop_width(2.0) == 1e-15 + 2e-12
+    # within the residual, or the target between f half a width either side
+    f = lambda w: w
+    assert meets_contract(f, 1.0 + 4e-13, 1.0)
+    assert not meets_contract(f, 1.0 + 2e-12, 1.0)
+    step = lambda w: 0.0 if w < 1.0 else 1.0
+    assert meets_contract(step, 1.0, 0.5) and meets_contract(step, 1.0 - 1e-13, 0.5)
+    assert not meets_contract(step, 1.0 - 1e-11, 0.5)

@@ -85,6 +85,20 @@ def test_keys_outside_64_bits_rejected():
             assert deserialize(s.to_bytes(), level).to_bytes() == s.to_bytes()
 
 
+def test_k_fits_the_frame_field():
+    # frames store k in 32 bits, so a larger k is refused when it is set
+    level = LevelFunction(F1())
+    for bad in (0, 2 ** 32, 2 ** 64):
+        for build in (lambda: KMinState(bad), lambda: KParetoFrontier(bad),
+                      lambda: WorSampler(bad, level, _oracle(0)),
+                      lambda: KParetoSampler(bad, _oracle(0))):
+            with pytest.raises(ValueError, match="2\\^32"):
+                build()
+    for s in (WorSampler(2 ** 32 - 1, level, _oracle(0)), KParetoSampler(2 ** 32 - 1, _oracle(0))):
+        s.update(5, 1.0)
+        assert deserialize(s.to_bytes(), level).to_bytes() == s.to_bytes()
+
+
 def test_first_update_always_wins():
     s = GSampler(LevelFunction(Log()), _oracle(1))
     assert s.query() is None
