@@ -88,7 +88,7 @@ class ScalarGate:
 
 
 class GGate:
-    """Applies a single-hash level function with a per-gate seed U.
+    """Applies the level function of any weight, sums included, with a per-gate seed U.
 
     The seed is drawn from the oracle hash under `seed_salt`, keyed by the
     gate's scope: an integer key or an arbitrary byte string (e.g. a
@@ -96,8 +96,6 @@ class GGate:
     """
 
     def __init__(self, level: LevelFunction, seed_salt: int, scope: Union[int, bytes]):
-        if not level.single_hash:
-            raise ValueError("G-gates need a single-hash weight function")
         # an int scope is a 64-bit key: hash_unit would alias -1 to 2^64 - 1
         if not (isinstance(scope, bytes) or (isinstance(scope, int) and 0 <= scope < 1 << 64)):
             raise ValueError(f"G-gate scope must be bytes or an int in [0, 2^64), got {scope!r}")

@@ -29,18 +29,20 @@ constructors F0, F1, FHalf, SoftCap, Log, Scaled and KilledDriftSum return
 these term tuples, so equal weights compare equal however they were built:
 Scaled(2, Scaled(3, Log())) == Scaled(6, Log()), KilledDriftSum(c=1) == F0().
 
-A weight of one term evaluates on a single (a, b) pair.  A weight of several
-terms is evaluated as the minimum of its term levels, one (a, b) pair per
-term, each term consuming its own fresh exponential and its own salted hash
-of the key.  That reproduces the summation rule for exponential rates
-(min of independent Exp variables sums the rates), so the transformation
-property holds for the sum as a whole.
+Every weight evaluates on one (a, b) pair.  A sum (killing c, drift g0, atoms
+of rate w_i and jump tau_i; fhalf and log stand alone) is the subordinator
+X_t = g0*t + sum_i tau_i*N_i(w_i*t) killed at rate c, and its level is the
+first double t with c*t - log1p(-T(t)) >= -log1p(-b), T(t) = P(X_t >= a), by
+numerics.first_true: nondecreasing in b bit for bit, and in a as far as the
+computed T is.  T is one Poisson tail for one atom, a sum over the counts of
+the others for more while that costs about 2^10 kernel calls (at most 2^12
+far in a tail), and past that the Lugannani-Rice saddlepoint approximation.
 
-Record-only evaluation: softcap and log also have a forward column, the
-increasing function of w their level inverts at b.  Under a bound (default
-inf) one forward value shows whether a term's level lies above it; such a
-term returns inf unevaluated, and any other, ties included, is evaluated in
-full.
+Record-only evaluation: softcap and log have a forward column, the increasing
+function of w their level inverts at b, and a sum bounds T with all jumps at
+the total rate and the largest tau.  Under a bound (default inf) that one
+kernel value can prove the level above it, which then returns inf; any
+other level, ties included, is evaluated in full.
 """
 
 from __future__ import annotations
@@ -49,9 +51,13 @@ import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
 
-from scipy.special.cython_special import gammaincinv
+from fractions import Fraction
+
+from scipy.special.cython_special import gammaincinv, ndtr
 
 from .numerics import (
+    REL,
+    first_true,
     inv_erf,
     meets_contract,
     poisson_tail,
@@ -131,6 +137,8 @@ class WeightFunction:
                 raise ValueError(f"unknown term kind {kind!r}")
             if not (0 < coeff < math.inf):  # at inf every level would be 0
                 raise ValueError(f"term coefficient must be positive and finite, got {coeff}")
+            if kind in ("fhalf", "log") and len(self.terms) > 1:
+                raise ValueError(f"{kind} cannot be a term of a sum")
 
 
 def F0() -> WeightFunction:
@@ -298,59 +306,179 @@ def _above(forward, param, coeff, a, b, bound) -> bool:
     return forward(param, a, w) < b - 2.0 * residual(b)
 
 
-class LevelFunction:
-    """Evaluator for the level function of a weight function.
+class _Costly(Exception):
+    """A count sum that would take more than its budget of terms."""
 
-    Each term evaluates on its own (a, b) pair, divided by its coefficient,
-    and the level is the minimum; the pairs must come from independent
-    sources (fresh exponentials, per-term salted hashes).  Single-term
-    weights (every catalogue variant, and any scaling of one) also evaluate
-    on a lone pair through eval.
-    """
+
+def _chance(rem: float, atoms: tuple, t: float, upper: bool, budget: Optional[list]) -> float:
+    """P(sum_i tau_i*N_i >= rem) if upper, else < rem, for independent
+    N_i ~ Poisson(w_i*t), atoms ((tau_i, w_i), ...).  Counts of the first atom
+    that reach rem alone add one tail; below them the sum runs from 12
+    standard deviations under its mean until the mass left is below REL times
+    the sum, clamped to [0, 1].  _Costly once budget[0] terms are spent."""
+    if rem <= 0.0:
+        return 1.0 if upper else 0.0
+    tau, x, rest = atoms[0][0], atoms[0][1] * t, atoms[1:]
+    k = max(math.ceil(min(rem / tau, _CENTRED)), 1)  # rem / tau may underflow
+    if not rest:
+        return poisson_tail(k, x) if upper else regularized_gamma_q(k, x)
+    total = poisson_tail(k, x) if upper else 0.0
+    n = max(math.floor(x - 12.0 * math.sqrt(x)), 0)
+    p = math.exp(-x) if not 0 < n < k else math.exp(  # P(N = n), by Stirling past 100
+        n * math.log(x) - x - math.lgamma(n + 1) if n < 100 else
+        n * math.log1p((x - n) / n) + n - x - 0.5 * math.log(2.0 * math.pi * n)
+        - (1.0 - 1.0 / (30.0 * n * n) + 1.0 / (105.0 * n ** 4)) / (12.0 * n))
+    while n < k:
+        budget[0] -= 1
+        if budget[0] < 0:
+            raise _Costly
+        total += p * _chance(rem - tau * n, rest, t, upper, budget)
+        n += 1
+        p *= x / n  # P(N = n); the mass from n on is at most p / (1 - x/(n+1))
+        if n + 1 > x and p <= REL * total * (1.0 - x / (n + 1)):
+            break
+    return min(total, 1.0)
+
+
+def _saddle(rem: float, atoms: tuple, t: float, upper: bool, h: float) -> float:
+    """_chance by the Lugannani-Rice saddlepoint approximation on the lattice
+    h*Z, continuity-corrected (continuous at h = 0).  Newton on log K', which
+    is convex, finds K'(s) = rem from s = 0, K(s) = sum_i x_i*expm1(s*tau_i),
+    x_i = w_i*t; I = s*K'(s) - K(s) sums x*(v*e^v - expm1(v)), v = s*tau, by
+    its series below 0.1, so w = sqrt(2I) and u = s*sqrt(K'') come from one s
+    and 1/u - 1/w cancels cleanly down to its limit at the mean."""
+    if h:
+        rem = (math.ceil(rem / h * (1.0 - 1e-12)) - 0.5) * h  # sums of taus round off h*Z
+    logs = [(tau, math.log(w * t)) for tau, w in atoms if w * t > 0.0]
+    s, last = 0.0, math.inf
+    for _ in range(100):  # the steps shrink until rounding stops them
+        shift = max(lx + math.log(tau) + s * tau for tau, lx in logs)
+        e = [(tau, math.exp(lx + s * tau - shift)) for tau, lx in logs]
+        k1 = sum(tau * v for tau, v in e)  # K'(s) / e^shift
+        step = (math.log(rem) - shift - math.log(k1)) * k1 / sum(tau * tau * v for tau, v in e)
+        if not abs(step) < last:
+            break
+        s, last = s + step, abs(step)
+    i_s = math.fsum(math.exp(lx) * v * v * sum(v ** j * (j + 1) / math.factorial(j + 2) for j in range(11))
+                    if abs(v) < 0.1 else math.exp(lx + v) * (v - 1.0) + math.exp(lx)
+                    for v, lx in ((s * tau, lx) for tau, lx in logs))
+    k2, k3 = (sum(tau ** j * math.exp(lx + s * tau) for tau, lx in logs) for j in (2, 3))
+    w = math.copysign(math.sqrt(max(2.0 * i_s, 0.0)), s)
+    u = (2.0 * math.sinh(min(0.5 * s * h, 700.0)) / h if h else s) * math.sqrt(k2)
+    correction = math.exp(-0.5 * w * w) / math.sqrt(2.0 * math.pi) * (
+        -k3 / (6.0 * k2 ** 1.5) if abs(w) < 1e-5 else 1.0 / u - 1.0 / w)
+    return min(max(ndtr(-w) + correction if upper else ndtr(w) - correction, 0.0), 1.0)
+
+
+# the kernel calls a probe's count sums may take, the saddlepoint past them:
+# about 2,600 expected counts of the outer atom of two, 10 of each of three
+_EXACT_WORK = 2.0 ** 10
+
+
+def _tail(rem: float, atoms: tuple, t: float, upper: bool, h: float) -> float:
+    """_chance where its count sums are estimated to take at most
+    _EXACT_WORK kernel calls, else _saddle.  The estimate runs each outer
+    atom's counts from 12 deviations under its mean x to 8 over it, or to
+    those that reach rem alone; far in a tail the sums run further, and
+    past four times that budget the saddlepoint takes over too."""
+    if len(atoms) == 1:
+        return _chance(rem, atoms, t, upper, None)
+    if math.prod(
+            1.0 + max(min(k, x + 2.0 * sd / 3.0) - max(x - sd, 0.0), 0.0)
+            for x, sd, k in ((w * t, 12.0 * math.sqrt(w * t), rem / tau)
+                             for tau, w in atoms[:-1])) <= _EXACT_WORK:
+        try:
+            return _chance(rem, atoms, t, upper, [4.0 * _EXACT_WORK])
+        except _Costly:
+            pass
+    return _saddle(rem, atoms, t, upper, h)
+
+
+def _sum_level(c: float, g0: float, atoms: tuple, h: float, drift: float, merged: tuple,
+               a: float, b: float, bound: float = math.inf) -> float:
+    """Level of c*1{z>0} + g0*z + sum_i w_i*(1 - exp(-tau_i*z)), atoms
+    ((tau_i, w_i), ...) by descending tau on the lattice h*Z with mean jump
+    rate drift, or inf above bound.  A probe t compares T(t) with
+    -expm1(-r), r = -log1p(-b) - c*t, or where T(t) >= 1/2, 1 - T(t), summed
+    on its own, with e^-r.  t and a pick the tail and the method, so each
+    probe is one threshold test in b, and a whose T(t) agree bit for bit get
+    the same answer.  merged, every jump at the total rate with the largest
+    tau, bounds T above on one kernel call; slack covers rounding."""
+    _check_domain(a, b)
+    target = -math.log1p(-b)
+    tau = atoms[0][0] if atoms else 1.0
+
+    def reached(t: float, atoms: tuple = atoms, slack: float = 1.0) -> bool:
+        r, rem = target - c * t, a - g0 * t
+        if r <= 0.0 or rem <= 0.0:
+            return True
+        if len(atoms) > 1 and not reached(t, merged, 1.0 + 1e-9):
+            return False  # one kernel call settles a probe far in the tail
+        # the tail below 1/2 keeps its digits: P(N >= k) < 1/2 for a Poisson
+        # count N once k > E[N] + 1/3, a first guess for the sum's
+        upper = math.ceil(rem / tau) * tau > drift * t + tau / 3.0
+        chance = _tail(rem, atoms, t, upper, h)
+        if chance >= 0.5 if upper else chance > 0.5:
+            upper, chance = not upper, _tail(rem, atoms, t, not upper, h)
+        return chance * slack >= -math.expm1(-r) if upper else chance <= math.exp(-r) * slack
+
+    if not atoms or a > _CENTRED * tau:  # X_t = rate * t to double precision
+        level = min(target / c if c else math.inf, a / (g0 + drift) if g0 + drift else math.inf)
+    elif bound < math.inf and not reached(bound, merged, 1.0 + 1e-9):
+        return math.inf  # every probe up to bound fails the same test in reached
+    else:
+        level = first_true(reached)
+    return level if level <= bound else math.inf
+
+
+def _sum_parts(terms: tuple) -> tuple:
+    """A sum's killing rate, drift and atoms ((tau, w), ...) in term order."""
+    return (sum(coeff for kind, _, coeff in terms if kind == "f0"),
+            sum(coeff for kind, _, coeff in terms if kind == "f1"),
+            tuple((p, coeff) for kind, p, coeff in terms if kind == "softcap"))
+
+
+def _lattice(taus: list) -> float:
+    """The span h of the lattice h*Z the jumps share: min(taus) over the
+    least common denominator of each tau / min(taus), read as a fraction
+    with denominator up to 1000 (exactly, to 1e-12); 0 where one is none."""
+    ratios = [Fraction(tau) / Fraction(min(taus)) for tau in taus]
+    near = [ratio.limit_denominator(1000) for ratio in ratios]
+    if any(abs(n - ratio) * 10 ** 12 > ratio for n, ratio in zip(near, ratios)):
+        return 0.0
+    return min(taus) / math.lcm(*(n.denominator for n in near))
+
+
+class LevelFunction:
+    """Evaluator for the level function of a weight function on one (a, b)
+    pair: a term's own evaluator divided by its coefficient, or a sum's."""
 
     def __init__(self, g: WeightFunction):
         self.weight = g
-        self._terms = [(_KINDS[kind].level, _KINDS[kind].forward, param, coeff)
-                       for kind, param, coeff in g.terms]
-
-    @property
-    def term_count(self) -> int:
-        return len(self._terms)
-
-    @property
-    def single_hash(self) -> bool:
-        """True when one (a, b) pair drives the whole evaluation."""
-        return len(self._terms) == 1
+        kind, param, coeff = g.terms[0]
+        self._term = (_KINDS[kind].level, _KINDS[kind].forward, param, coeff)
+        c, g0, atoms = _sum_parts(g.terms)
+        atoms = tuple(sorted(atoms, reverse=True))
+        self._sum = None if len(g.terms) == 1 else (
+            c, g0, atoms, _lattice([tau for tau, _ in atoms] or [1.0]),
+            math.fsum(tau * w for tau, w in atoms),
+            ((atoms[0][0], math.fsum(w for _, w in atoms)),) if atoms else ())
 
     def __repr__(self) -> str:
         return f"LevelFunction({self.weight!r})"
 
     def eval(self, a: float, b: float, bound: float = math.inf) -> float:
-        """Single-pair evaluation; only valid for single-term weights.  inf
-        when the forward test proves the level above bound."""
-        if len(self._terms) != 1:
-            raise ValueError(f"{self.weight!r} has {len(self._terms)} terms; "
-                             "use eval_terms with one (a, b) pair per term")
-        level, forward, param, coeff = self._terms[0]
+        """l_G(a, b), or inf when the forward test proves it above bound."""
+        if self._sum is not None:
+            return _sum_level(*self._sum, a, b, bound)
+        level, forward, param, coeff = self._term
         if forward is not None and bound < math.inf and _above(forward, param, coeff, a, b, bound):
             return math.inf
         return level(param, a, b) / coeff
 
-    def eval_terms(self, pairs: list[tuple[float, float]], bound: float = math.inf) -> float:
-        """Minimum over per-term evaluations, one (a, b) pair per term; inf
-        or the minimum when that exceeds a finite bound, which (tightened by
-        the smallest term so far) spares the terms proven above it."""
-        if len(pairs) != len(self._terms):
-            raise ValueError(f"expected {len(self._terms)} (a, b) pairs, got {len(pairs)}")
-        best = math.inf  # a loop: min() over a generator doubles a 1-term cost
-        for (level, forward, param, coeff), (a, b) in zip(self._terms, pairs):
-            if forward is not None and bound < math.inf and _above(
-                    forward, param, coeff, a, b, min(best, bound)):
-                continue
-            t = level(param, a, b) / coeff
-            if t < best:
-                best = t
-        return best if best <= bound else math.inf
+    # only bench/spans.py uses this name: it traces it from the class dictionary
+    def eval_terms(self, a: float, b: float, bound: float = math.inf) -> float:
+        return self.eval(a, b, bound)
 
 
 # --- the compact CLI grammar -------------------------------------------------
@@ -419,10 +547,8 @@ def weight_grammar(g: WeightFunction) -> str:
         if coeff != 1.0:
             text = f"scale:{_num(coeff)}:{text}"
     else:
-        c = sum(coeff for kind, _, coeff in g.terms if kind == "f0")
-        g0 = sum(coeff for kind, _, coeff in g.terms if kind == "f1")
-        atoms = ";".join(f"{_num(coeff)}x{_num(param)}"
-                         for kind, param, coeff in g.terms if kind == "softcap")
+        c, g0, atoms = _sum_parts(g.terms)
+        atoms = ";".join(f"{_num(w)}x{_num(tau)}" for tau, w in atoms)
         text = f"sum:c={_num(c)},g0={_num(g0)},atoms={atoms}"
     try:
         spelled = parse_weight(text)

@@ -11,13 +11,16 @@ every routed function against its ufunc bit for bit, over a seeded
 log-uniform grid and the edges of the domain; others check them against
 direct quadrature, series summation and round trips.
 
-The root finder is the one numerical inverse implemented here, and REL, ABS
-and MAX_ITER are the one stopping contract every inverse in the library
-meets.  A solve of f(x) = target stops once |f(x) - target| <= residual(target),
-or returns the midpoint of a bracket no wider than stop_width of its last
-probe; meets_contract holds an x found another way (gammaincinv) to the
-same rule.  Either way f(x) >= target - residual(target), or f is >= target
-half a stopping width above x: level._above's rejection proof rests on that.
+The root finder is the inverse for continuous functions, and REL, ABS and
+MAX_ITER are the one stopping contract those inverses meet.  A solve of
+f(x) = target stops once |f(x) - target| <= residual(target), or returns
+the midpoint of a bracket no wider than stop_width of its last probe;
+meets_contract holds an x found another way (gammaincinv) to the same rule.
+Either way f(x) >= target - residual(target), or f is >= target half a
+stopping width above x: level._above's rejection proof rests on that.
+
+first_true is the inverse for step functions, where a secant stalls: exact
+bisection over the doubles, monotone in its predicate bit for bit.
 
 All computation is 64-bit binary floating point.  Results therefore carry a
 small additive error (a few ulps, amplified modestly by root finding); the
@@ -28,6 +31,7 @@ anything observable at realistic sample sizes, rather than as a failure mode.
 from __future__ import annotations
 
 import math
+import struct
 from typing import Callable
 
 from scipy.special.cython_special import erfinv as _erfinv
@@ -47,6 +51,7 @@ __all__ = [
     "stop_width",
     "meets_contract",
     "solve_monotone_increasing",
+    "first_true",
 ]
 
 
@@ -173,3 +178,20 @@ def solve_monotone_increasing(f: Callable[[float], float], target: float,
         f"no convergence to {target} within {MAX_ITER} iterations; "
         f"bracket ({lo}, {hi})"
     )
+
+
+_pack_bits = struct.Struct("<Q").pack
+_unpack_double = struct.Struct("<d").unpack
+
+
+def first_true(pred: Callable[[float], bool]) -> float:
+    """The first double t in (0, inf] with pred(t), for a pred that turns
+    from False to True along the doubles: bisection on their bit patterns
+    from 0 (taken False) to inf (taken True), 63 probes.  The probes depend
+    only on the answers so far, so where one predicate implies another at
+    every point, the second's answer is never larger, monotone or not."""
+    lo, hi = 0, 0x7FF0000000000000  # the bit patterns of 0.0 and inf
+    while hi - lo > 1:
+        mid = (lo + hi) >> 1
+        lo, hi = (lo, mid) if pred(_unpack_double(_pack_bits(mid))[0]) else (mid, hi)
+    return _unpack_double(_pack_bits(hi))[0]

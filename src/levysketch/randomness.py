@@ -7,8 +7,7 @@ experiment bit for bit:
 
 * ``OracleHash`` plays the role of a uniformly random hash of item keys.
   The salt field carves out independent namespaces (e.g. the separate
-  vertex and edge hashes used by the edge sampler, or the per-term hashes
-  of composite weight functions).
+  vertex and edge hashes used by the edge sampler).
 
 * ``FreshSource`` produces the independent Exp(1) variate consumed by each
   sampler update.  It is counter-based rather than generator-based, so

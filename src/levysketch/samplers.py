@@ -10,10 +10,10 @@ and keep the k smallest per-key minima (a ``KMinState``), root-solving only
 the candidates that can change them (see level.py).  The frontier sketches
 store the raw (Y/delta, H(v)) points instead (a ``KParetoFrontier``) and
 defer the level evaluation to query time, which lets a single sketch answer
-for *any* weight function.  A top-k query bounds each point's evaluation by
-the running k-th value, so it solves only the points that can still enter;
-``KParetoFrontier.ranked`` keeps the full evaluation as the reference the
-checks compare against.
+for *any* weight function, sums included.  A top-k query bounds each point's
+evaluation by the running k-th value, so it solves only the points that can
+still enter; ``KParetoFrontier.ranked`` keeps the full evaluation as the
+reference the checks compare against.
 
 * WorSampler    -- k-entry sketch sampling k distinct keys without
                    replacement, ordered by the sequential-ratio law.
@@ -22,14 +22,13 @@ checks compare against.
                    times.
 * KParetoSampler-- universal variant of the WOR sketch: keeps the points
                    dominated by fewer than k others, so a query can report
-                   the ordered k-sample for any single-hash weight function.
-                   Each point carries its dominator count, so an insert costs
-                   O(m) for m retained points.
+                   the ordered k-sample for any weight function.  Each point
+                   carries its dominator count, so an insert costs O(m) for
+                   m retained points.
 * ParetoSampler -- its k = 1 case: the minimum Pareto frontier of all update
-                   points; query with any single-hash weight function,
-                   seed-for-seed equal to the scalar sketch's answer.
-                   Expected size is harmonic (about ln n + 1 for n distinct
-                   keys).
+                   points; query with any weight function, seed-for-seed
+                   equal to the scalar sketch's answer.  Expected size is
+                   harmonic (about ln n + 1 for n distinct keys).
 
 All sketches sharing a seed and processing the same updates (with the
 per-update randomness drawn from the same counters) agree exactly, so
@@ -168,9 +167,9 @@ class KParetoFrontier:
     and differs in at least one.  Updates to the same key reuse the same
     hash, so same-key points share their b coordinate and only the smallest
     a needs keeping.  The retained set supports ordered k-samples for any
-    single-hash weight function; at k = 1 it is the minimum Pareto frontier,
-    strictly increasing in a and strictly decreasing in b (points that
-    coincide in both coordinates are all kept).
+    weight function; at k = 1 it is the minimum Pareto frontier, strictly
+    increasing in a and strictly decreasing in b (points that coincide in
+    both coordinates are all kept).
 
     Each retained point carries its dominator count.  A dominator of a
     retained point has fewer dominators than that point, so it is retained
@@ -249,7 +248,6 @@ class KParetoFrontier:
     def ranked(self, level: LevelFunction) -> list[tuple[float, int]]:
         """(l_G(a, b), key) for every retained point, ascending: the full
         evaluation that top must agree with."""
-        _check_single_hash(level)
         return sorted((level.eval(t.a, t.b), t.key) for t in self._tuples)
 
     def top(self, level: LevelFunction, k: int) -> list[tuple[float, int]]:
@@ -260,7 +258,6 @@ class KParetoFrontier:
         solved.  Such a point is strictly above the k-th value, and a tie is
         solved, so the (value, key) order is that of ranked.
         """
-        _check_single_hash(level)
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
         best: list[tuple[float, int]] = []
@@ -273,31 +270,13 @@ class KParetoFrontier:
         return best
 
 
-def _check_single_hash(level: LevelFunction) -> None:
-    if not level.single_hash:
-        raise ValueError(
-            "frontier queries need a single-hash weight function; "
-            "composites store one hash per term and cannot be answered "
-            "from a single frontier"
-        )
-
-
 def _level_draw(sketch, key: int, delta: float) -> float:
-    """One update's candidate value t = l_G(Y/delta, H(key)).
-
-    Each term of the weight function draws its own fresh exponential and its
-    own hash of the key under salt base + j (the sketch's oracle itself for
-    j = 0); the candidate is the term minimum, bounded by the state's
-    threshold for key.
-    """
+    """One update's candidate value t = l_G(Y/delta, H(key)), bounded by the
+    state's threshold for key."""
     _check_update(key, delta)
-    level, oracle, rng = sketch.level, sketch.oracle, sketch.fresh
-    pairs = []
-    for j in range(level.term_count):
-        y = fresh_exp(rng)
-        salted = oracle.with_salt(oracle.salt + j) if j else oracle
-        pairs.append((y / delta, hash_unit(salted, key)))
-    return level.eval_terms(pairs, sketch.state.threshold(key))
+    y = fresh_exp(sketch.fresh)
+    return sketch.level.eval(y / delta, hash_unit(sketch.oracle, key),
+                             sketch.state.threshold(key))
 
 
 def _frontier_insert(sketch, key: int, delta: float) -> None:
@@ -346,9 +325,9 @@ class ParetoSampler:
     """Universal sketch: the minimum Pareto frontier of all update points,
     a KParetoFrontier(1).
 
-    Any single-hash weight function can be queried after the fact, and the
-    answer is identical to what a GSampler for that weight function would
-    have produced from the same seed and update stream.
+    Any weight function can be queried after the fact, and the answer is
+    identical to what a GSampler for that weight function would have
+    produced from the same seed and update stream.
     """
 
     def __init__(self, oracle: OracleHash = OracleHash(),
@@ -419,8 +398,8 @@ class KParetoSampler:
     """Universal k-sample-without-replacement sketch.
 
     Keeps the points dominated by fewer than k others; a query evaluates any
-    single-hash weight function over the retained points and reports the k
-    smallest, matching a WorSampler run with the same seed exactly.
+    weight function over the retained points and reports the k smallest,
+    matching a WorSampler run with the same seed exactly.
     """
 
     def __init__(self, k: int, oracle: OracleHash = OracleHash(),

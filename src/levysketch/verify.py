@@ -56,6 +56,7 @@ __all__ = ["VerifyParams", "FULL_PARAMS", "QUICK_PARAMS", "CheckResult",
            "suite_names"]
 
 _LAMBDAS = (0.25, 1.0, 4.0)
+_SUMS = (KilledDriftSum(c=1.0, g0=1.0), KilledDriftSum(c=1.0, g0=1.0, atoms=((2.0, 0.5),)))
 _STREAMS = {
     "1-2-3-4": {1: 1.0, 2: 2.0, 3: 3.0, 4: 4.0},
     "1-1-10": {1: 1.0, 2: 1.0, 3: 10.0},
@@ -143,19 +144,12 @@ def _transform_samples(level: LevelFunction, lam: float, seed: bytes,
                        n: int) -> list[float]:
     """n draws of l_G(Y, U) with Y ~ Exp(lam), U ~ Uniform(0, 1)."""
     fs = FreshSource(seed)
-    out = []
-    for _ in range(n):
-        pairs = [(fresh_exp(fs) / lam, fs.next_uniform())
-                 for _ in range(level.term_count)]
-        out.append(level.eval_terms(pairs))
-    return out
+    return [level.eval(fresh_exp(fs) / lam, fs.next_uniform()) for _ in range(n)]
 
 
 def _transform_combos() -> list[tuple]:
-    combos = [(g, lam) for g in CATALOGUE for lam in _LAMBDAS]
-    # one composite: killing + drift, G(3) = 1 + 3 = 4
-    combos.append((KilledDriftSum(c=1.0, g0=1.0), 3.0))
-    return combos
+    # each catalogue weight at each lambda, the sums at lam = 3 (G(3) = 4 without the atom)
+    return [(g, lam) for g in CATALOGUE for lam in _LAMBDAS] + [(g, 3.0) for g in _SUMS]
 
 
 def check_level_transformation(seed: bytes, params: VerifyParams) -> list[CheckResult]:
@@ -265,8 +259,9 @@ def _random_stream(rnd: random.Random, max_keys: int = 32,
 def check_universality(seed: bytes, params: VerifyParams) -> list[CheckResult]:
     """The frontier's full evaluation must return the same (key, value) the
     dedicated scalar sampler returns, seed for seed, for every catalogue
-    weight, and the bounded frontier query the same as the full one."""
-    levels = [LevelFunction(g) for g in CATALOGUE]
+    weight and a sum with an atom, and the bounded frontier query the same
+    as the full one."""
+    levels = [LevelFunction(g) for g in (*CATALOGUE, _SUMS[1])]
     mismatches = 0
     comparisons = 0
     for i in range(params.universality_streams):

@@ -8,13 +8,14 @@ pass replays exactly.
 
 Criteria:
  1. value transformation law: l_G(Y, U) ~ Exp(G(lambda)) per catalogue
-    weight and lambda, KS at the 1% level (Bonferroni across the family),
+    weight and lambda, and two sums at lambda = 3, KS at the 1% level
+    (Bonferroni across the family),
     with a 100-repetition calibration of the suite's false-failure rate
  2. exact sampling law: sampled-key frequencies match G(x(v))/G(x),
     chi-square, on two fixed streams per catalogue weight
  3. stored-value law: the kept value is Exp(G(x)), KS, same runs as (2)
  4. universality: frontier queries equal the dedicated sampler seed for
-    seed, all catalogue weights, zero mismatches
+    seed, all catalogue weights and a sum with an atom, zero mismatches
  5. frontier size: harmonic-number mean within 3 standard errors and
     4(ln n + 1) max, for n = 4 / 64 / 1024
  6. without-replacement law: ordered pairs follow the sequential-ratio

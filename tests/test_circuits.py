@@ -115,9 +115,21 @@ def test_input_with_predecessor_violation():
     assert v is not None and v.gate_id == "b"
 
 
-def test_ggate_rejects_composite_level():
-    with pytest.raises(ValueError):
-        GGate(LevelFunction(KilledDriftSum(c=1.0, g0=1.0)), 0, 1)
+def test_flat_circuit_of_a_sum_matches_gsampler():
+    # a G-gate takes a sum like any weight: one seed U per gate
+    level = LevelFunction(KilledDriftSum(c=1.0, g0=1.0, atoms=((2.0, 0.5),)))
+    for i in range(50):
+        rnd = random.Random(i)
+        keys = list(range(rnd.randint(1, 8)))
+        oracle = _oracle(3000 + i)
+        circuit = build_flat_circuit({k: level for k in keys})
+        fresh = FreshSource(oracle.seed)
+        scalar = GSampler(level, oracle)
+        for _ in range(rnd.randint(1, 40)):
+            key, delta = rnd.choice(keys), rnd.uniform(0.1, 5.0)
+            circuit.update(("in", key), delta, fresh, oracle)
+            scalar.update(key, delta)
+        assert circuit.output("out") == scalar.query()
 
 
 def test_ggate_scope_must_be_a_key_or_bytes():

@@ -109,6 +109,23 @@ def test_cmd_sample_wor_and_kpareto_agree():
     assert wor["counts"] == kp["counts"]
 
 
+@pytest.mark.parametrize("mode", ["position", "record"])
+def test_universal_sketches_sample_sums(tmp_path, mode):
+    # the frontier sketches answer a sum, seed for seed like the dedicated ones
+    stream = tmp_path / "s.txt"
+    stream.write_text("1 1\n2 2\n3 3\n1 0.5\n4 0.25\n")
+    counts = {}
+    for sketch in ("gsampler", "pareto", "wor:2", "kpareto:2"):
+        out = tmp_path / f"{sketch}.json"
+        argv = ["sample", "--sketch", sketch, "--g", "sum:c=1,g0=1,atoms=2x0.5",
+                str(stream), "--reps", "300", "--seed", "c1f00d",
+                "--attach-randomness", mode, "--out", str(out)]
+        assert main(argv) == 0
+        counts[sketch] = json.loads(out.read_text())["counts"]
+    assert counts["pareto"] == counts["gsampler"]
+    assert counts["kpareto:2"] == counts["wor:2"]
+
+
 def test_cmd_sample_bad_kind():
     with pytest.raises(ValueError):
         cmd_sample(RunConfig(SEED, sketch="bogus"), [])

@@ -101,8 +101,8 @@ def test_log_monotone_spots():
 
 
 def test_scaled():
-    assert LevelFunction(Scaled(2.0, F1())).eval_terms([(1.0, 0.5)]) == 0.5
-    assert LevelFunction(Scaled(1.0, F1())).eval_terms([(0.773, 0.5)]) == 0.773
+    assert LevelFunction(Scaled(2.0, F1())).eval(1.0, 0.5) == 0.5
+    assert LevelFunction(Scaled(1.0, F1())).eval(0.773, 0.5) == 0.773
     with pytest.raises(ValueError):
         Scaled(0.0, F1())
 
@@ -122,35 +122,25 @@ def test_domain_errors():
 
 def test_composite_degenerate_atom():
     g = KilledDriftSum(atoms=((1.0, 0.7),))
-    assert LevelFunction(g).eval_terms([(1.3, 0.4)]) == eval_softcap(0.7, 1.3, 0.4)
+    assert LevelFunction(g).eval(1.3, 0.4) == eval_softcap(0.7, 1.3, 0.4)
 
 
 def test_composite_killing_plus_drift():
-    g = KilledDriftSum(c=1.0, g0=1.0)
-    a1, b1, a2, b2 = 0.9, 0.35, 1.7, 0.8
-    expected = min(-math.log1p(-b1), a2)
-    assert LevelFunction(g).eval_terms([(a1, b1), (a2, b2)]) == pytest.approx(
-        expected, rel=1e-14)
-
-
-def test_composite_length_mismatch():
-    level = LevelFunction(KilledDriftSum(c=1.0, g0=1.0))
-    with pytest.raises(ValueError):
-        level.eval_terms([(1.0, 0.5)])
-    with pytest.raises(ValueError):
-        level.eval_terms([(1.0, 0.5), (2.0, 0.5), (3.0, 0.5)])
+    # one (a, b) pair: killed at -log1p(-b) / c, or drifted to a at a / g0
+    g = KilledDriftSum(c=2.0, g0=0.5)
+    for a, b in ((0.9, 0.35), (0.1, 0.8), (5.0, 1e-300)):
+        assert LevelFunction(g).eval(a, b) == min(-math.log1p(-b) / 2.0, a / 0.5)
 
 
 def test_level_function_shape():
-    assert LevelFunction(F0()).single_hash
-    assert LevelFunction(Scaled(2.0, Log())).single_hash
+    # a sum evaluates on one pair and scales like any weight
     comp = LevelFunction(KilledDriftSum(c=1.0, g0=2.0, atoms=((1.0, 1.0),)))
-    assert comp.term_count == 3
-    assert not comp.single_hash
-    with pytest.raises(ValueError):
-        comp.eval(1.0, 0.5)
-    scaled_comp = LevelFunction(Scaled(3.0, KilledDriftSum(c=1.0, g0=1.0)))
-    assert scaled_comp.term_count == 2
+    scaled = LevelFunction(Scaled(3.0, KilledDriftSum(c=1.0, g0=2.0, atoms=((1.0, 1.0),))))
+    for a, b in ((1.0, 0.5), (0.2, 0.9), (7.0, 1e-9)):
+        assert 0.0 < comp.eval(a, b) <= min(eval_f0(a, b), eval_f1(a, b) / 2.0,
+                                           eval_softcap(1.0, a, b))
+        assert scaled.eval(a, b) == pytest.approx(comp.eval(a, b) / 3.0, rel=1e-12)
+    assert LevelFunction(F1()).eval_terms(2.5, 0.3) == 2.5  # the traced alias
 
 
 def test_scaled_is_rescaled_inner():
@@ -212,12 +202,22 @@ def test_composite_transformation_law():
     # G(z) = 1{z>0} + z at lam = 3 gives rate 4
     level = LevelFunction(KilledDriftSum(c=1.0, g0=1.0))
     fs = FreshSource(parse_seed("ab6"))
-    samples = []
-    for _ in range(20_000):
-        pairs = [(fresh_exp(fs) / 3.0, fs.next_uniform()) for _ in range(2)]
-        samples.append(level.eval_terms(pairs))
+    samples = [level.eval(fresh_exp(fs) / 3.0, fs.next_uniform()) for _ in range(20_000)]
     report = ks_test_exponential(samples, 4.0, alpha=1e-4)
     assert report.passed
+
+
+@pytest.mark.parametrize("grammar", ["sum:c=1,g0=1,atoms=2x0.5", "sum:c=0,g0=0,atoms=1x1;2x0.3",
+                                     "sum:c=0.5,g0=2,atoms=1x1;2x0.3;0.5x2"])
+@pytest.mark.parametrize("lam", [0.1, 1.0, 10.0])
+def test_sum_transformation_law(grammar, lam):
+    # one (a, b) pair per draw: l_G(Y, U) is Exp(G(lam)) for sums with atoms
+    g = parse_weight(grammar)
+    level = LevelFunction(g)
+    fs = FreshSource(parse_seed("ab7"))
+    samples = [level.eval(fresh_exp(fs) / lam, fs.next_uniform()) for _ in range(2_000)]
+    report = ks_test_exponential(samples, weight_value(g, lam), alpha=1e-4)
+    assert report.passed, f"KS {report.statistic:.4f} > {report.threshold:.4f}"
 
 
 def test_solver_levels_survive_extreme_arguments():
@@ -279,6 +279,10 @@ def test_weight_validation():
         WeightFunction((Term("f2", 0.0, 1.0),))
     with pytest.raises(ValueError):
         WeightFunction((Term("f1", 0.0, 0.0),))
+    # a sum holds killing, drift and soft caps only, as the grammar spells it
+    for kind in ("fhalf", "log"):
+        with pytest.raises(ValueError, match="sum"):
+            WeightFunction((Term("f1", 0.0, 1.0), Term(kind, 0.0, 1.0)))
 
 
 def test_weights_reject_infinite_coefficients():
@@ -336,8 +340,7 @@ def test_grammar_prints_normalised_form():
 
 
 def test_grammar_refuses_unspellable_weights():
-    for terms in ((("fhalf", 0.0, 1.0), ("log", 0.0, 1.0)),
-                  (("f1", 0.0, 1.0), ("f0", 0.0, 1.0)),  # drift before killing
+    for terms in ((("f1", 0.0, 1.0), ("f0", 0.0, 1.0)),  # drift before killing
                   (("f0", 0.0, 1.0), ("f0", 0.0, 2.0)),  # two killing terms
                   (("f1", 3.0, 1.0),)):  # a parameter f1 does not have
         g = WeightFunction(tuple(Term(*t) for t in terms))
@@ -346,11 +349,11 @@ def test_grammar_refuses_unspellable_weights():
 
 
 def test_term_table_calls_evaluators_through_the_module(monkeypatch):
-    # rebinding level.eval_<kind> (as a tracer does) must reach every term,
+    # rebinding level.eval_<kind> (as a tracer does) must reach every kind,
     # also for a LevelFunction built before the rebinding
     kinds = ("f0", "f1", "fhalf", "softcap", "log")
-    g = WeightFunction(tuple(Term(k, 0.5 if k == "softcap" else 0.0, 2.0) for k in kinds))
-    level = LevelFunction(g)
+    levels = [LevelFunction(WeightFunction((Term(k, 0.5 if k == "softcap" else 0.0, 2.0),)))
+              for k in kinds]
     calls = Counter()
     for k in kinds:
         original = getattr(level_module, f"eval_{k}")
@@ -360,7 +363,8 @@ def test_term_table_calls_evaluators_through_the_module(monkeypatch):
             return _original(*args)
 
         monkeypatch.setattr(level_module, f"eval_{k}", counting)
-    level.eval_terms([(1.5, 0.3)] * len(kinds))
+    for level in levels:
+        level.eval(1.5, 0.3)
     assert calls == Counter(kinds)
     LevelFunction(Scaled(2.0, Log())).eval(1.5, 0.3)
     assert calls["log"] == 2
@@ -425,10 +429,13 @@ def test_weight_layer_properties(weight, z, pairs):
     for alpha in reversed(alphas):
         closed = alpha * closed
     assert weight_value(g, z) == pytest.approx(closed, rel=1e-15, abs=0.0)
-    pairs = pairs[:len(scaled)]
-    expected = min(_CLOSED[k][1](p, a, b) / coeff
-                   for (k, p, coeff), (a, b) in zip(scaled, pairs))
-    assert LevelFunction(g).eval_terms(pairs) == expected
+    a, b = pairs[0]
+    levels = [_CLOSED[k][1](p, a, b) / coeff for k, p, coeff in scaled]
+    got = LevelFunction(g).eval(a, b)
+    if len(levels) == 1:
+        assert got == levels[0]
+    else:  # a sum reaches a no later than any of its terms alone
+        assert got <= min(levels) * (1.0 + 1e-9)
 
 
 # --- the bound contract: record-only evaluation ------------------------------
@@ -443,29 +450,80 @@ def _nudged(level, nudge, sign):
     return level * (1.0 + sign * nudge)
 
 
-@settings(max_examples=400, deadline=None)
-@given(grammar=st.sampled_from(_BOUNDED),
-       pairs=st.lists(st.tuples(st.floats(-6.0, 12.0).map(lambda e: 10.0 ** e),
-                                st.floats(2.0 ** -53, 1.0 - 2.0 ** -53,
-                                          exclude_min=True, exclude_max=True)),
-                      min_size=3, max_size=3))
-def test_bounded_evaluation_is_the_level_or_inf(grammar, pairs):
+_B = st.floats(2.0 ** -53, 1.0 - 2.0 ** -53, exclude_min=True, exclude_max=True)
+
+
+@st.composite
+def _sums(draw):
+    """A sum of two or more terms, 1 to 3 of them atoms; killing and drift
+    absent or in [0.1, 10]."""
+    c, g0 = (draw(st.just(0.0) | st.floats(0.1, 10.0)) for _ in range(2))
+    atoms = draw(st.lists(st.tuples(st.floats(0.1, 10.0), st.floats(0.2, 5.0)),
+                          min_size=1 if c or g0 else 2, max_size=3))
+    return KilledDriftSum(c=c, g0=g0, atoms=tuple(atoms))
+
+
+def _assert_bound_contract(level, a, b):
     # under any bound the evaluation returns the full level bit for bit, or
     # inf where the full level lies above the bound; a bound equal to the
     # level never rejects, since the (h, key) tie-break needs the tie
-    level = LevelFunction(parse_weight(grammar))
-    pairs = pairs[:level.term_count]
-    full = level.eval_terms(pairs)
+    full = level.eval(a, b)
     for nudge in ("ulp", 0.0, 1e-12, 1e-9, 1e-3):
         for sign in (-1.0, 1.0):
             bound = _nudged(full, nudge, sign)
-            results = [level.eval_terms(pairs, bound)]
-            if level.single_hash:
-                results.append(level.eval(*pairs[0], bound))
-            for r in results:
-                assert r == full or (r == math.inf and full > bound), (bound, r)
-                if bound >= full:
-                    assert r == full
+            r = level.eval(a, b, bound)
+            assert r == full or (r == math.inf and full > bound), (bound, r)
+            if bound >= full:
+                assert r == full
+    return full
+
+
+@settings(max_examples=400, deadline=None)
+@given(grammar=st.sampled_from(_BOUNDED), e=st.floats(-6.0, 12.0), b=_B)
+def test_bounded_evaluation_is_the_level_or_inf(grammar, e, b):
+    _assert_bound_contract(LevelFunction(parse_weight(grammar)), 10.0 ** e, b)
+
+
+@settings(max_examples=150, deadline=None)
+@given(g=_sums(), e=st.floats(-6.0, 1.0), b=_B, da=st.floats(0.0, 1.0), db=st.floats(0.0, 1.0))
+def test_sum_levels_keep_the_bound_contract_and_are_monotone(g, e, b, da, db):
+    # random sums keep the bound contract, and the level never falls as a
+    # or b rises, bit for bit: by one ulp, and by a jump of up to a
+    level = LevelFunction(g)
+    a = 10.0 ** e
+    full = _assert_bound_contract(level, a, b)
+    for a2 in (math.nextafter(a, math.inf), a * (1.0 + da)):
+        assert level.eval(a2, b) >= full, a2
+    for b2 in (math.nextafter(b, 1.0), b + db * (1.0 - b)):
+        if b2 < 1.0:
+            assert level.eval(a, b2) >= full, b2
+
+
+@pytest.mark.parametrize("grammar", ["sum:c=1,g0=1,atoms=2x0.5", "sum:c=0,g0=0,atoms=1x1;2x0.3",
+                                     "sum:c=0.5,g0=2,atoms=1x1;2x0.3;0.5x2",
+                                     "sum:c=0,g0=0.5,atoms=3x0.1;2x7"])
+def test_sum_levels_at_extreme_first_arguments(grammar):
+    # a = Y / delta for subnormal deltas up to inf, and the smallest a:
+    # every level returns, through the count sums, the saddlepoint and the
+    # closed form past 2^128 jumps, and none falls as a rises
+    level = LevelFunction(parse_weight(grammar))
+    a_values = [5e-324, 1e-310, 1e-3, 1.0, 1e3, 1e4, 1e5, 1e6, 1e8, 1e12, 1e20, 1e30,
+                1e-10 / 1e-310, 2.0 ** 128 * 7 * (1 + 2.0 ** -52), 1e308, 2.0 / 1e-310, math.inf]
+    for b in (2.0 ** -53, 0.5, 1.0 - 2.0 ** -53):
+        levels = [level.eval(a, b) for a in sorted(a_values)]
+        assert all(x <= y for x, y in zip(levels, levels[1:])), (b, levels)
+        assert levels[-1] == (-math.log1p(-b) / level._sum[0] if level._sum[0] else math.inf)
+
+
+def test_sum_levels_step_through_b_one_half():
+    # a probe's tail follows from t and a alone, so b meets one threshold
+    # test: the level never falls as b steps by single ulps through 1/2,
+    # where -log1p(-b) crosses log 2, in the count sums and the saddlepoint
+    level = LevelFunction(parse_weight("sum:c=0,g0=0,atoms=2x0.5;1x1.5"))
+    bs = [0.5 - 2.0 ** -54 * i for i in range(40, 0, -1)] + [0.5 + 2.0 ** -53 * i for i in range(40)]
+    for a in (0.37, 2.71, 300.25, 1e5):
+        levels = [level.eval(a, b) for b in bs]
+        assert all(x <= y for x, y in zip(levels, levels[1:])), a
 
 
 def test_bound_rejects_without_solving(full_evals):
@@ -474,16 +532,22 @@ def test_bound_rejects_without_solving(full_evals):
         full = level.eval(2.0, 0.4)
         full_evals.clear()
         assert level.eval(2.0, 0.4, full / 2) == math.inf
-        assert level.eval_terms([(2.0, 0.4)], full / 2) == math.inf
         assert full_evals["n"] == 0
         assert level.eval(2.0, 0.4, full) == full
         assert full_evals["n"] == 1
-    # the running term minimum bounds the later terms
-    level = LevelFunction(parse_weight("sum:c=1,g0=0,atoms=1x1"))
-    killed = eval_f0(1.0, 0.1)
-    full_evals.clear()
-    assert level.eval_terms([(1.0, 0.1), (5.0, 0.9)], 10.0) == killed
-    assert full_evals["n"] == 0
+    # a sum rejects on one Poisson tail: every jump at the total rate with
+    # the largest tau, which is exact for one atom and looser for more
+    for grammar, scale in (("sum:c=1,g0=1,atoms=2x0.5", 2), ("sum:c=0,g0=0.5,atoms=1x1;2x0.3;0.5x2", 20)):
+        level = LevelFunction(parse_weight(grammar))
+        full = level.eval(2.0, 0.4)
+        gammas = Counter()
+        with pytest.MonkeyPatch.context() as patch:
+            for name in ("poisson_tail", "regularized_gamma_q"):
+                original = getattr(level_module, name)
+                patch.setattr(level_module, name, lambda *args, _f=original, _n=name:
+                              gammas.update([_n]) or _f(*args))
+            assert level.eval(2.0, 0.4, full / scale) == math.inf
+        assert sum(gammas.values()) == 1
     # past _CENTRED, where levels are their centres: a = inf (a subnormal
     # delta) keeps level inf, and softcap's 2e300 lies above a bound of 1
     assert LevelFunction(Log()).eval(math.inf, 0.3, 1.0) == math.inf
@@ -566,3 +630,110 @@ def test_log_resolves_targets_below_the_absolute_tolerance():
     w = eval_log(1e16, b)
     assert regularized_gamma_q(w, 1e16) > 0.0
     assert _within_tolerance(lambda x: regularized_gamma_q(x, 1e16), w, b)
+
+
+# --- sums: one (a, b) pair, against a 40-digit phi -------------------------
+
+def _phi_mp(c, g0, atoms, a, t):
+    """c t - log1p(-T(t)) at 40 digits for atoms ((w, tau), ...), from
+    1 - T above T = 1/2: each atom's Poisson masses tabulated 60 deviations
+    past the counts that reach a alone, with both tails summed from them so
+    that each keeps its digits, and nested sums over the outer counts."""
+    t = mpmath.mpf(t)
+    rem = mpmath.mpf(a) - g0 * t
+    tables = []
+    for w, tau in sorted(atoms, key=lambda atom: -atom[1]):
+        x, tau = w * t, mpmath.mpf(tau)
+        pmf = [mpmath.exp(-x)]
+        for j in range(1, int(max(rem / tau, x) + 60 * mpmath.sqrt(x) + 40)):
+            pmf.append(pmf[-1] * x / j)
+        below, above = [mpmath.mpf(0)], [mpmath.mpf(0)]
+        for p, q in zip(pmf, reversed(pmf)):
+            below.append(below[-1] + p)
+            above.append(above[-1] + q)
+        tables.append((tau, pmf, below, above[:0:-1]))
+
+    def chance(r, i, upper):  # P(the atoms from i on sum to r or more), or less
+        if r <= 0:
+            return mpmath.mpf(1 if upper else 0)
+        tau, pmf, below, above = tables[i]
+        k = int(mpmath.ceil(r / tau))
+        if i == len(tables) - 1:
+            return above[k] if upper else below[k]
+        return (above[k] if upper else 0) + mpmath.fsum(
+            pmf[n] * chance(r - tau * n, i + 1, upper) for n in range(k))
+
+    T = chance(rem, 0, True)
+    return c * t - (mpmath.log1p(-T) if T < 0.5 else mpmath.log(chance(rem, 0, False)))
+
+
+_MP_ATOMS = ((), ((2.0, 0.5),), ((2.0, 0.5), (1.0, 1.5)), ((1.0, 1.0), (2.0, 0.3), (0.5, 2.0)))
+
+
+def _mp_cases():
+    """(c, g0, atoms, a, b) over a grid, plus b that put the level just
+    below, on and just above a drift jump: where rem = a - g0 t crosses the
+    smallest jump.  a stays off the sums of jumps (a = 2.5 = 1 + 5 * 0.3),
+    where the binary rounding of each tau decides whether a count reaches a."""
+    with mpmath.workdps(40):
+        for c in (0.0, 1.0):
+            for g0 in (0.0, 0.7):
+                for atoms in _MP_ATOMS:
+                    if not atoms and not (c and g0):
+                        continue  # a single term, checked by its own kind
+                    for a in (0.37, 2.71):
+                        for b in (1e-300, 1e-12, 0.3, 0.9, 1 - 2.0 ** -53):
+                            yield c, g0, atoms, a, b
+                    if g0 and atoms:
+                        t_jump = (mpmath.mpf(2.71) - min(tau for _, tau in atoms)) / g0
+                        before = _phi_mp(c, g0, atoms, 2.71, t_jump * (1 - mpmath.mpf(10) ** -30))
+                        after = _phi_mp(c, g0, atoms, 2.71, t_jump)
+                        assert after > before * (1 + mpmath.mpf(10) ** -6)
+                        for target in (before * (1 - mpmath.mpf(10) ** -6), (before + after) / 2,
+                                       after * (1 + mpmath.mpf(10) ** -6)):
+                            yield c, g0, atoms, 2.71, float(-mpmath.expm1(-target))
+
+
+def test_sum_levels_match_mpmath():
+    # the level is the first t with phi(t) >= -log1p(-b): within 1e-13
+    # relative of the 40-digit one, found by bisection inside +-1e-6 of it
+    worst = 0.0
+    for c, g0, atoms, a, b in _mp_cases():
+        got = LevelFunction(KilledDriftSum(c=c, g0=g0, atoms=atoms)).eval(a, b)
+        with mpmath.workdps(40):
+            target = -mpmath.log1p(-mpmath.mpf(b))
+            lo, hi = got * (1 - mpmath.mpf(10) ** -6), got * (1 + mpmath.mpf(10) ** -6)
+            if not atoms:
+                exact = min(target / c, mpmath.mpf(a) / g0)
+            else:
+                assert _phi_mp(c, g0, atoms, a, lo) < target <= _phi_mp(c, g0, atoms, a, hi), \
+                    (c, g0, atoms, a, b, got)
+                for _ in range(40):  # to 1e-18 relative
+                    mid = (lo + hi) / 2
+                    lo, hi = (lo, mid) if _phi_mp(c, g0, atoms, a, mid) >= target else (mid, hi)
+                exact = hi
+            error = float(abs(got - exact) / exact)
+        assert error <= 1e-13, (c, g0, atoms, a, b, got, error)
+        worst = max(worst, error)
+    assert worst > 0.0  # the grid reaches the rounding level somewhere
+
+
+@pytest.mark.parametrize("g0", [0.0, 0.7])
+def test_sum_levels_match_mpmath_at_large_counts(g0):
+    # a from 30 to 1e4, off the jump lattices: the count sums start past 100
+    # counts (Stirling) and stop on REL, within 1e-13 as at small a (worst
+    # 3.1e-14); past 2^10 kernel calls a probe, the saddlepoint, within
+    # 1e-9 for two atoms at 1e4 (worst 1.6e-10) and 1e-5 for three at 100
+    # (worst 2.5e-6); the level is bracketed by +-bound of itself
+    two, three = _MP_ATOMS[2], _MP_ATOMS[3]
+    cases = [(two, 100.25, 1e-13), (two, 1000.25, 1e-13), (three, 30.05, 1e-13),
+             (three, 100.05, 1e-5)] + ([(two, 10000.25, 1e-9)] if g0 == 0.0 else [])
+    for atoms, a, bound in cases:
+        level = LevelFunction(KilledDriftSum(g0=g0, atoms=atoms))
+        for b in (1e-12, 0.3, 1 - 1e-9):
+            got = level.eval(a, b)
+            with mpmath.workdps(40):
+                target = -mpmath.log1p(-mpmath.mpf(b))
+                lo, hi = (mpmath.mpf(got) * (1 + sign * mpmath.mpf(bound)) for sign in (-1, 1))
+                assert _phi_mp(0.0, g0, atoms, a, lo) < target <= \
+                    _phi_mp(0.0, g0, atoms, a, hi), (g0, atoms, a, b, got)

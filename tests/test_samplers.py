@@ -337,13 +337,6 @@ def test_pareto_query_empty():
     assert s.query(LevelFunction(F1())) is None
 
 
-def test_pareto_query_rejects_composite():
-    s = ParetoSampler(_oracle(5))
-    s.update(1, 1.0)
-    with pytest.raises(ValueError):
-        s.query(LevelFunction(KilledDriftSum(c=1.0, g0=1.0)))
-
-
 def test_pareto_matches_scalar_sampler():
     # same seed, same stream: the frontier answers exactly what the
     # dedicated sampler answers, for several weight functions
@@ -361,6 +354,27 @@ def test_pareto_matches_scalar_sampler():
             for key, delta in stream:
                 scalar.update(key, delta)
             assert frontier.query(level) == scalar.query()
+
+
+@pytest.mark.parametrize("grammar", ["sum:c=1,g0=1,atoms=2x0.5", "sum:c=0,g0=0.5,atoms=2x0.5;1x1.5"])
+def test_universal_sketches_answer_sums(grammar):
+    # a sum evaluates on the one (a, b) pair a frontier point stores, so the
+    # universal sketches answer it seed for seed like the dedicated ones
+    level = LevelFunction(parse_weight(grammar))
+    for i in range(200):
+        rnd = random.Random(i)
+        stream = [(rnd.randrange(rnd.randint(1, 32)), rnd.uniform(0.05, 20.0))
+                  for _ in range(rnd.randint(1, 200))]
+        oracle = _oracle(40_000 + i)
+        sketches = [GSampler(level, oracle), ParetoSampler(oracle),
+                    WorSampler(3, level, oracle), KParetoSampler(3, oracle)]
+        for key, delta in stream:
+            for s in sketches:
+                s.update(key, delta)
+        scalar, pareto, wor, kpareto = sketches
+        assert pareto.query(level) == scalar.query()
+        assert kpareto.query(level) == wor.sample_ordered()
+        assert [key for _, key in kpareto.frontier.ranked(level)[:3]] == wor.sample_ordered()
 
 
 # --- without replacement ------------------------------------------------------
@@ -749,24 +763,24 @@ def test_frame_round_trip_with_infinite_entries():
         assert deserialize(data, level).to_bytes() == data
 
 
-# grammar -> its terms as (evaluator of (a, b), coefficient), written out
-# from the definitions rather than read from the weight layer
-_REPLAY_TERMS = {
-    "f0": [(eval_f0, 1.0)],
-    "f1": [(eval_f1, 1.0)],
-    "fhalf": [(eval_fhalf, 1.0)],
-    "log": [(eval_log, 1.0)],
-    "softcap:1": [(lambda a, b: eval_softcap(1.0, a, b), 1.0)],
-    "scale:2:log": [(eval_log, 2.0)],
-    "sum:c=1,g0=0.5,atoms=2x0.5": [(eval_f0, 1.0), (eval_f1, 0.5),
-                                   (lambda a, b: eval_softcap(0.5, a, b), 2.0)],
+# grammar -> its level on one (a, b) pair, written out from the definitions
+# rather than read from the sketches; a sum's is the level layer's, which
+# test_level.py checks against mpmath
+_REPLAY_LEVELS = {
+    "f0": eval_f0,
+    "f1": eval_f1,
+    "fhalf": eval_fhalf,
+    "log": eval_log,
+    "softcap:1": lambda a, b: eval_softcap(1.0, a, b),
+    "scale:2:log": lambda a, b: eval_log(a, b) / 2.0,
+    "sum:c=1,g0=0.5,atoms=2x0.5": LevelFunction(parse_weight("sum:c=1,g0=0.5,atoms=2x0.5")).eval,
 }
 
 
-@pytest.mark.parametrize("grammar", sorted(_REPLAY_TERMS))
+@pytest.mark.parametrize("grammar", sorted(_REPLAY_LEVELS))
 def test_candidates_replay_from_the_definitions(grammar):
-    # per update and term j: a fresh Exp(1) draw, then the key's hash under
-    # salt base + j; the candidate is the minimum of eval_<kind>(...) / coeff.
+    # per update: a fresh Exp(1) draw, then the key's hash under the
+    # sketch's salt; the candidate is the level at (Y / delta, hash).
     # The long stream rejects most candidates unsolved, and its 1e-310
     # deltas push a to inf.
     base_salt = 5
@@ -785,11 +799,9 @@ def test_candidates_replay_from_the_definitions(grammar):
                 delta = 1e-310
             for s in sketches:
                 s.update(key, delta)
-            candidate = math.inf
-            for j, (evaluate, coeff) in enumerate(_REPLAY_TERMS[grammar]):
-                y = fresh_exp(fresh)
-                b = hash_unit(OracleHash(oracle.seed, base_salt + j), key)
-                candidate = min(candidate, evaluate(y / delta, b) / coeff)
+            y = fresh_exp(fresh)
+            b = hash_unit(OracleHash(oracle.seed, base_salt), key)
+            candidate = _REPLAY_LEVELS[grammar](y / delta, b)
             minima[key] = min(minima.get(key, math.inf), candidate)
         ranked = sorted((h, key) for key, h in minima.items())
         assert sketches[0].query() == (ranked[0][1], ranked[0][0])
