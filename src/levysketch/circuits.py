@@ -15,9 +15,11 @@ three operations into a DAG:
 Scalar and G gates must have exactly one successor, which is what keeps the
 values arriving at any gate over different wires independent.  So a value
 leaving an input gate on one wire runs along one path of gates to one output
-gate; `Circuit.validate` compiles those paths and an update runs them.  Only
-output gates carry state between updates, so a whole circuit costs two words
-of persistent memory per output gate.
+gate.  `Circuit.validate` compiles those paths once (or raises
+`CircuitError`), each `Circuit.fork(oracle)` is a run over them, and an
+update runs them.  A run owns its oracle, the G-gate seeds drawn under it
+and the output gates' state; only the last carries information between
+updates, so a whole circuit costs two words per output gate.
 
 The stock construction here is the edge sampler: given a fixed (hyper)graph
 with vertex masses fed by the update stream, it samples an edge {u, v} with
@@ -38,13 +40,8 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 from .level import FHalf, Log, SoftCap, LevelFunction
-from .randomness import (
-    FreshSource,
-    OracleHash,
-    fresh_exp,
-    hash_unit,
-    hash_unit_bytes,
-)
+from .randomness import FreshSource, OracleHash, fresh_exp, hash_unit, hash_unit_bytes
+from .samplers import check_update
 
 __all__ = [
     "InputGate",
@@ -52,7 +49,7 @@ __all__ = [
     "GGate",
     "OutputGate",
     "Gate",
-    "CircuitViolation",
+    "CircuitError",
     "Circuit",
     "CircuitSketch",
     "EdgeSampler",
@@ -106,6 +103,13 @@ class GGate:
     def __repr__(self) -> str:
         return f"GGate({self.level!r}, salt={self.seed_salt}, scope={self.scope!r})"
 
+    def unit(self, oracle: OracleHash) -> float:
+        """The gate's seed U under `oracle`."""
+        salted = oracle.with_salt(self.seed_salt)
+        if isinstance(self.scope, bytes):
+            return hash_unit_bytes(salted, self.scope)
+        return hash_unit(salted, self.scope)
+
 
 @dataclass(frozen=True)
 class OutputGate:
@@ -118,22 +122,25 @@ class OutputGate:
 Gate = Union[InputGate, ScalarGate, GGate, OutputGate]
 
 
-@dataclass(frozen=True)
-class CircuitViolation:
-    """First structural rule a circuit breaks, as a value (not an exception)."""
+class CircuitError(ValueError):
+    """The first structural rule a circuit breaks, at gate `gate_id`."""
 
-    gate_id: object
-    reason: str
+    def __init__(self, gate_id, reason: str) -> None:
+        super().__init__(f"invalid circuit: gate {gate_id!r}: {reason}")
+        self.gate_id = gate_id
+        self.reason = reason
 
 
 class Circuit:
-    """A gate DAG run as one gate path per input wire, plus the output gates'
-    running state.
+    """A gate DAG run as one gate path per input wire, plus one run's state:
+    its oracle, the G-gate seeds drawn under it and the output gates' pairs.
 
     Gates are added by id (any hashable); wires are directed and ordered --
     the declaration order of an input gate's outgoing wires fixes the order
     in which its fresh exponentials are drawn, which is what makes replays
-    and shard merges exact.  `validate` compiles the paths.
+    and shard merges exact.  `validate` compiles the paths once; each
+    `fork(oracle)` is a run over them.  A circuit that is not a fork runs
+    under `OracleHash()`.
     """
 
     def __init__(self) -> None:
@@ -144,7 +151,8 @@ class Circuit:
         # input gate -> [(gates passed, output gate, label reported, index of
         # the last G-gate passed, product of the alphas after it)] per wire
         self._paths: Optional[dict] = None
-        self._unit_cache: dict = {}  # oracle -> {G-gate id: seed U}
+        self.oracle = OracleHash()
+        self._units: dict = {}  # G-gate id -> seed U under self.oracle
         self._out_state: dict = {}
 
     def add_gate(self, gate_id, gate: Gate, label=None) -> None:
@@ -169,30 +177,30 @@ class Circuit:
 
     # -- validation ----------------------------------------------------------
 
-    def validate(self) -> Optional[CircuitViolation]:
+    def validate(self) -> None:
         """Check the structural rules and, when they hold, compile the wire
-        paths; returns the first violation or None."""
+        paths; CircuitError names the first rule broken."""
         for gate_id, gate in self.gates.items():
             n_out = len(self._succ[gate_id])
             n_in = len(self._pred[gate_id])
             if isinstance(gate, InputGate) and n_in > 0:
-                return CircuitViolation(gate_id, "input gate has a predecessor")
+                raise CircuitError(gate_id, "input gate has a predecessor")
             if isinstance(gate, OutputGate) and n_out > 0:
-                return CircuitViolation(gate_id, "output gate has a successor")
+                raise CircuitError(gate_id, "output gate has a successor")
             if isinstance(gate, ScalarGate):
                 if n_out != 1:
-                    return CircuitViolation(
+                    raise CircuitError(
                         gate_id, f"scalar gate must have exactly 1 successor, has {n_out}")
                 if n_in != 1:
-                    return CircuitViolation(
+                    raise CircuitError(
                         gate_id, f"scalar gate must have exactly 1 predecessor, has {n_in}")
             if isinstance(gate, GGate) and n_out != 1:
-                return CircuitViolation(
+                raise CircuitError(
                     gate_id, f"G-gate must have exactly 1 successor, has {n_out}")
 
         for gate_id, gate in self.gates.items():
             if isinstance(gate, (ScalarGate, GGate)) and self._chain(gate_id)[-1] == gate_id:
-                return CircuitViolation(gate_id, "gate lies on a cycle")
+                raise CircuitError(gate_id, "gate lies on a cycle")
         # with no cycle every scalar and G-gate chain ends at an output gate,
         # so only an input gate without wires reaches none
         paths = {}
@@ -200,7 +208,7 @@ class Circuit:
             if not isinstance(gate, InputGate):
                 continue
             if not self._succ[gate_id]:
-                return CircuitViolation(gate_id, "gate cannot reach an output gate")
+                raise CircuitError(gate_id, "gate cannot reach an output gate")
             paths[gate_id] = []
             for dst in self._succ[gate_id]:
                 chain = [gate_id] + self._chain(dst)
@@ -227,68 +235,49 @@ class Circuit:
 
     # -- execution -----------------------------------------------------------
 
-    @staticmethod
-    def _gate_unit(units: dict, gate_id, gate: GGate, oracle: OracleHash) -> float:
-        u = units.get(gate_id)
-        if u is None:
-            salted = oracle.with_salt(gate.seed_salt)
-            if isinstance(gate.scope, bytes):
-                u = hash_unit_bytes(salted, gate.scope)
-            else:
-                u = hash_unit(salted, gate.scope)
-            units[gate_id] = u
-        return u
-
-    def _compiled(self) -> dict:
-        """The compiled paths; ValueError if the circuit breaks a structural rule."""
+    def fork(self, oracle: OracleHash = OracleHash()) -> "Circuit":
+        """A run of this circuit under `oracle`: the same gates and compiled
+        paths, with gate seeds and output state (every output gate empty) of
+        its own.  The two share their gates and wires, so build a circuit
+        before forking it.  CircuitError if it breaks a structural rule."""
         if self._paths is None:
-            violation = self.validate()
-            if violation is not None:
-                raise ValueError(
-                    f"invalid circuit: gate {violation.gate_id!r}: {violation.reason}")
-        return self._paths
-
-    def fork(self) -> "Circuit":
-        """A circuit over this one's gates and compiled paths, with output
-        state (every output gate empty) and gate seeds of its own.  The two
-        share their gates and wires, so build a circuit before forking it.
-        ValueError if the circuit breaks a structural rule."""
-        self._compiled()
+            self.validate()
         twin = copy.copy(self)
+        twin.oracle = oracle
+        twin._units = {}
         twin._out_state = dict.fromkeys(self._out_state, (None, math.inf))
-        twin._unit_cache = {}
         return twin
 
-    def update(self, input_gate, delta: float, rng: FreshSource,
-               oracle: OracleHash) -> None:
+    def update(self, input_gate, delta: float, rng: FreshSource) -> None:
         """Process one update arriving at an input gate.
 
         Each outgoing wire, in declaration order, draws Exp(1)/delta and
         carries it along its path to its output gate; the path's last G-gate,
         bounded by the output's value times the alphas after it, solves only
-        for a value that can change the output.  Only output-gate state
-        survives.  ValueError if the circuit breaks a structural rule.
+        for a value that can change the output.  G-gate seeds come from this
+        run's oracle.  Only output-gate state survives.  ValueError unless
+        0 < delta < inf; CircuitError if the circuit breaks a structural rule.
         """
-        paths = self._compiled().get(input_gate)
+        if self._paths is None:
+            self.validate()
+        paths = self._paths.get(input_gate)
         if paths is None:
             raise ValueError(f"{input_gate!r} is not an input gate")
-        if not (delta > 0):
-            raise ValueError(f"delta must be positive, got {delta}")
-        # the oracle's gate seeds, looked up once: hashing a frozen
-        # OracleHash per gate evaluation costs more than the lookup it keys
-        units = self._unit_cache.get(oracle)
-        if units is None:
-            units = self._unit_cache[oracle] = {}
+        if not (0 < delta < math.inf):
+            raise ValueError(f"delta must be positive and finite, got {delta}")
 
+        units = self._units
         for passed, out_id, label, last_g, scale in paths:
             value = fresh_exp(rng) / delta
             for i, (gate_id, gate) in enumerate(passed):
                 if isinstance(gate, ScalarGate):
                     value /= gate.alpha
                 else:
+                    u = units.get(gate_id)
+                    if u is None:
+                        u = units[gate_id] = gate.unit(self.oracle)
                     bound = self._out_state[out_id][1] * scale if i == last_g else math.inf
-                    value = gate.level.eval(value, self._gate_unit(units, gate_id, gate, oracle),
-                                           bound)
+                    value = gate.level.eval(value, u, bound)
             ident, h_star = self._out_state[out_id]
             # the smaller (value, identifier) pair, as the samplers keep it;
             # the first arrival always, even at inf
@@ -299,10 +288,8 @@ class Circuit:
         """The stored (identifier, value) pair of an output gate, if any."""
         if output_gate not in self._out_state:
             raise ValueError(f"{output_gate!r} is not an output gate")
-        ident, h_star = self._out_state[output_gate]
-        if ident is None:
-            return None
-        return ident, h_star
+        state = self._out_state[output_gate]
+        return None if state[0] is None else state
 
     def output_gate_ids(self) -> list:
         return list(self._out_state)
@@ -324,8 +311,7 @@ def build_flat_circuit(weights_by_key: dict[int, LevelFunction],
                    label=key)
         c.add_wire(("in", key), ("g", key))
         c.add_wire(("g", key), "out")
-    violation = c.validate()
-    assert violation is None, violation
+    c.validate()
     return c
 
 
@@ -370,12 +356,9 @@ class EdgeSamplerSpec:
         return sorted(tuple(sorted(e)) for e in self.edges)
 
 
-def _edge_scope(edge: tuple[int, ...]) -> bytes:
-    return struct.pack(f"<{len(edge)}Q", *edge)
-
-
-def _vertex_edge_scope(vertex: int, edge: tuple[int, ...]) -> bytes:
-    return struct.pack(f"<{1 + len(edge)}Q", vertex, *edge)
+def _scope(*ids: int) -> bytes:
+    """A G-gate scope packing vertex ids: an edge, or a vertex then an edge."""
+    return struct.pack(f"<{len(ids)}Q", *ids)
 
 
 def build_edge_sampler(spec: EdgeSamplerSpec) -> Circuit:
@@ -409,50 +392,53 @@ def build_edge_sampler(spec: EdgeSamplerSpec) -> Circuit:
         if v in connected:
             c.add_gate(("in", v), InputGate())
     for e in edges:
-        scope = _edge_scope(e)
+        scope = _scope(*e)
         c.add_gate(("softcap", e), GGate(softcap_level, SALT_EDGE_SOFTCAP, scope))
         c.add_gate(("half", e), ScalarGate(2.0), label=e)
         c.add_gate(("log", e), GGate(log_level, SALT_EDGE_LOG, scope), label=e)
         for v in e:
-            c.add_gate(("sqrt", v, e),
-                       GGate(sqrt_level, SALT_VERTEX_SQRT, _vertex_edge_scope(v, e)))
+            c.add_gate(("sqrt", v, e), GGate(sqrt_level, SALT_VERTEX_SQRT, _scope(v, *e)))
             c.add_wire(("sqrt", v, e), ("log", e))
         c.add_wire(("softcap", e), ("half", e))
         c.add_wire(("half", e), "out")
         c.add_wire(("log", e), "out")
     # wire inputs in canonical edge order: square-root path then direct path
     for v in spec.vertices:
-        if v not in connected:
-            continue
         for e in edges:
             if v in e:
                 c.add_wire(("in", v), ("sqrt", v, e))
                 c.add_wire(("in", v), ("softcap", e))
 
-    violation = c.validate()
-    assert violation is None, violation
+    c.validate()
     return c
 
 
 class CircuitSketch:
-    """A circuit as a sketch: update(key, delta) feeds the key's input gate,
-    if any (a key without one cannot change an output), and query() is one
-    output gate's (identifier, value).  Each sketch runs its own fork of the
-    circuit, so one circuit serves any number of sketches, at once or in
-    turn."""
+    """A circuit as a sketch: update(key, delta) checks the pair by the
+    samplers' rule, then feeds the key's input gate, if any (a key without
+    one cannot change an output), and query() is one output gate's
+    (identifier, value).  Each sketch runs its own fork of the circuit under
+    its oracle, so one compiled circuit serves any number of sketches, at
+    once or in turn; `fork(oracle)` starts another one from empty."""
 
     def __init__(self, circuit: Circuit, inputs: dict, output_id,
                  oracle: OracleHash = OracleHash(), fresh: Optional[FreshSource] = None):
-        self.circuit = circuit.fork()
+        self.circuit = circuit.fork(oracle)
         self.inputs = inputs
         self.output_id = output_id
         self.oracle = oracle
         self.fresh = fresh if fresh is not None else FreshSource(oracle.seed)
 
-    def update(self, key, delta: float) -> None:
+    def fork(self, oracle: OracleHash = OracleHash()) -> "CircuitSketch":
+        """A sketch over the same compiled circuit and inputs, run under
+        `oracle` from empty."""
+        return CircuitSketch(self.circuit, self.inputs, self.output_id, oracle)
+
+    def update(self, key: int, delta: float) -> None:
+        check_update(key, delta)
         gate = self.inputs.get(key)
         if gate is not None:
-            self.circuit.update(gate, delta, self.fresh, self.oracle)
+            self.circuit.update(gate, delta, self.fresh)
 
     def query(self) -> Optional[tuple[object, float]]:
         return self.circuit.output(self.output_id)
@@ -460,7 +446,7 @@ class CircuitSketch:
 
 class EdgeSampler(CircuitSketch):
     """The edge-sampling circuit as a sketch over vertex updates; an isolated
-    vertex has no input gate, so its updates are ignored."""
+    vertex has no input gate, so its updates are checked and change nothing."""
 
     def __init__(self, spec: EdgeSamplerSpec, oracle: OracleHash = OracleHash(),
                  fresh: Optional[FreshSource] = None):

@@ -34,8 +34,8 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Optional
 
-from .circuits import Circuit, CircuitSketch, EdgeSampler, EdgeSamplerSpec, GGate, \
-    InputGate, OutputGate, ScalarGate, build_edge_sampler
+from .circuits import Circuit, CircuitError, CircuitSketch, EdgeSampler, EdgeSamplerSpec, \
+    GGate, InputGate, OutputGate, ScalarGate, build_edge_sampler
 from .level import LevelFunction, parse_weight
 from .oracle import UndersampledError, chi_square_gof, exact_edge_distribution
 from .randomness import DEFAULT_SEED, FreshSource, key_for_string, parse_seed
@@ -103,9 +103,9 @@ def parse_stream(text: str, seed: bytes, source: str = "<stream>") -> list[Strea
         except ValueError:
             raise StreamParseError(
                 f"{source}:{lineno}: delta is not a number: {delta_text!r}") from None
-        if not (delta > 0):
+        if not (0 < delta < math.inf):
             raise StreamParseError(
-                f"{source}:{lineno}: delta must be positive, got {delta}")
+                f"{source}:{lineno}: delta must be positive and finite, got {delta}")
         records.append(StreamRecord(token, _key_id(token, seed), delta))
     return records
 
@@ -189,10 +189,10 @@ def load_circuit_file(text: str, source: str = "<circuit>") -> LoadedCircuit:
             c.add_wire(src, dst)
         except ValueError as exc:
             raise StreamParseError(f"{source}:{lineno}: {exc}") from None
-    violation = c.validate()
-    if violation is not None:
-        raise StreamParseError(
-            f"{source}: invalid circuit: gate {violation.gate_id!r}: {violation.reason}")
+    try:
+        c.validate()
+    except CircuitError as exc:
+        raise StreamParseError(f"{source}: {exc}") from None
     inputs = {g: g for g, gate in c.gates.items() if isinstance(gate, InputGate)}
     return LoadedCircuit(c, inputs)
 
@@ -375,11 +375,8 @@ def cmd_edge_sample(graph_text: str, records: list[StreamRecord],
                                    f"integers below 2^64, got {r.display!r}")
         masses[r.key] = masses.get(r.key, 0.0) + r.delta
     stream = [(r.key, r.delta) for r in records]
-    # one compiled circuit serves every rep: each CircuitSketch runs a fork of it
-    edge = EdgeSampler(spec)
-    for sampler in replay(
-            lambda oracle: CircuitSketch(edge.circuit, edge.inputs, edge.output_id, oracle),
-            stream, config.reps, config.seed):
+    # one compiled circuit serves every rep: each rep runs a fork of it
+    for sampler in replay(EdgeSampler(spec).fork, stream, config.reps, config.seed):
         out = sampler.query()
         if out is None:
             empty += 1

@@ -80,11 +80,12 @@ _KEY_LIMIT = 1 << 64
 _K_LIMIT = 1 << 32  # frames store k in 32 bits
 
 
-def _check_update(key: int, delta: float) -> None:
+def check_update(key: int, delta: float) -> None:
+    """ValueError unless key is in [0, 2^64) and 0 < delta < inf."""
     if not (0 <= key < _KEY_LIMIT):
         raise ValueError(f"key must lie in [0, 2^64), got {key}")
-    if not (delta > 0):
-        raise ValueError(f"delta must be positive, got {delta}")
+    if not (0 < delta < math.inf):
+        raise ValueError(f"delta must be positive and finite, got {delta}")
 
 
 @dataclass(frozen=True)
@@ -95,7 +96,7 @@ class Update:
     delta: float
 
     def __post_init__(self) -> None:
-        _check_update(self.key, self.delta)
+        check_update(self.key, self.delta)
 
 
 class ParetoTuple(NamedTuple):
@@ -273,7 +274,7 @@ class KParetoFrontier:
 def _level_draw(sketch, key: int, delta: float) -> float:
     """One update's candidate value t = l_G(Y/delta, H(key)), bounded by the
     state's threshold for key."""
-    _check_update(key, delta)
+    check_update(key, delta)
     y = fresh_exp(sketch.fresh)
     return sketch.level.eval(y / delta, hash_unit(sketch.oracle, key),
                              sketch.state.threshold(key))
@@ -281,7 +282,7 @@ def _level_draw(sketch, key: int, delta: float) -> float:
 
 def _frontier_insert(sketch, key: int, delta: float) -> None:
     """Insert one update's raw point (Y/delta, H(key))."""
-    _check_update(key, delta)
+    check_update(key, delta)
     y = fresh_exp(sketch.fresh)
     sketch.frontier.insert(ParetoTuple(y / delta, hash_unit(sketch.oracle, key), key))
     if len(sketch.frontier) > sketch.max_size:

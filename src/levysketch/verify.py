@@ -363,7 +363,7 @@ def check_edge_sampling(seed: bytes, params: VerifyParams) -> list[CheckResult]:
     """Edge frequencies on the triangle must match the closed-form weight
     ratios, and the stored value must be Exp(total edge weight)."""
     exact = exact_edge_distribution(_TRIANGLE.edges, _TRIANGLE_MASSES)
-    counts, values = _tally(replay(partial(EdgeSampler, _TRIANGLE),
+    counts, values = _tally(replay(EdgeSampler(_TRIANGLE).fork,
                                    sorted(_TRIANGLE_MASSES.items()), params.edge_reps, seed))
     alpha = params.significance / 2
     chi = chi_square_gof(counts, exact, alpha)
@@ -384,7 +384,7 @@ def check_hyperedge_sampling(seed: bytes, params: VerifyParams) -> list[CheckRes
     spec = EdgeSamplerSpec((1, 2, 3, 4), ((1, 2, 3), (2, 3, 4)))
     masses = {1: 1.0, 2: 2.0, 3: 3.0, 4: 0.5}
     exact = exact_edge_distribution(spec.edges, masses)
-    counts, _ = _tally(replay(partial(EdgeSampler, spec), sorted(masses.items()),
+    counts, _ = _tally(replay(EdgeSampler(spec).fork, sorted(masses.items()),
                               params.hyperedge_reps, seed))
     chi = chi_square_gof(counts, exact, params.significance)
     return [CheckResult("circuits/hyperedge-law/arity-3", chi.passed,

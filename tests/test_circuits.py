@@ -12,6 +12,7 @@ from levysketch.circuits import (
     SALT_EDGE_SOFTCAP,
     SALT_VERTEX_SQRT,
     Circuit,
+    CircuitError,
     CircuitSketch,
     EdgeSampler,
     EdgeSamplerSpec,
@@ -57,6 +58,15 @@ def _chain(*gates) -> Circuit:
     return c
 
 
+def _violation(c: Circuit) -> tuple:
+    """(gate id, reason) of the CircuitError that validating c raises."""
+    with pytest.raises(CircuitError) as err:
+        c.validate()
+    assert isinstance(err.value, ValueError)
+    assert str(err.value) == f"invalid circuit: gate {err.value.gate_id!r}: {err.value.reason}"
+    return err.value.gate_id, err.value.reason
+
+
 def test_flat_circuit_validates():
     c = build_flat_circuit({1: F1_LEVEL, 2: F1_LEVEL})
     assert c.validate() is None
@@ -68,35 +78,31 @@ def test_ggate_two_successors_violation():
     c.add_wire("in", "g")
     c.add_wire("g", "o1")
     c.add_wire("g", "o2")
-    v = c.validate()
-    assert v is not None and v.gate_id == "g"
+    assert _violation(c) == ("g", "G-gate must have exactly 1 successor, has 2")
 
 
 def test_cycle_violation():
     c = _chain(("a", ScalarGate(2.0)), ("b", ScalarGate(2.0)))
     c.add_wire("a", "b")
     c.add_wire("b", "a")
-    v = c.validate()
-    assert v is not None and "cycle" in v.reason
+    assert _violation(c) == ("a", "gate lies on a cycle")
 
 
 def test_scalar_arity_violations():
     c = _chain(("in", InputGate()), ("s", ScalarGate(2.0)), ("out", OutputGate()))
     c.add_wire("in", "s")
-    v = c.validate()  # no successor
-    assert v is not None and v.gate_id == "s"
+    # no successor
+    assert _violation(c) == ("s", "scalar gate must have exactly 1 successor, has 0")
     c.add_wire("s", "out")
     assert c.validate() is None
     c.add_wire("in", "s")  # second predecessor
-    v = c.validate()
-    assert v is not None and v.gate_id == "s"
+    assert _violation(c) == ("s", "scalar gate must have exactly 1 predecessor, has 2")
 
 
 def test_output_with_successor_violation():
     c = _chain(("in", InputGate()), ("out", OutputGate()), ("s", ScalarGate(1.0)))
     c.add_wire("out", "s")
-    v = c.validate()
-    assert v is not None and v.gate_id == "out"
+    assert _violation(c) == ("out", "output gate has a successor")
 
 
 def test_unreachable_gate_violation():
@@ -104,15 +110,13 @@ def test_unreachable_gate_violation():
                ("out", OutputGate()), ("stray", InputGate()))
     c.add_wire("in", "g")
     c.add_wire("g", "out")
-    v = c.validate()
-    assert v is not None and v.gate_id == "stray"
+    assert _violation(c) == ("stray", "gate cannot reach an output gate")
 
 
 def test_input_with_predecessor_violation():
     c = _chain(("a", InputGate()), ("b", InputGate()))
     c.add_wire("a", "b")
-    v = c.validate()
-    assert v is not None and v.gate_id == "b"
+    assert _violation(c) == ("b", "input gate has a predecessor")
 
 
 def test_flat_circuit_of_a_sum_matches_gsampler():
@@ -122,12 +126,12 @@ def test_flat_circuit_of_a_sum_matches_gsampler():
         rnd = random.Random(i)
         keys = list(range(rnd.randint(1, 8)))
         oracle = _oracle(3000 + i)
-        circuit = build_flat_circuit({k: level for k in keys})
+        circuit = build_flat_circuit({k: level for k in keys}).fork(oracle)
         fresh = FreshSource(oracle.seed)
         scalar = GSampler(level, oracle)
         for _ in range(rnd.randint(1, 40)):
             key, delta = rnd.choice(keys), rnd.uniform(0.1, 5.0)
-            circuit.update(("in", key), delta, fresh, oracle)
+            circuit.update(("in", key), delta, fresh)
             scalar.update(key, delta)
         assert circuit.output("out") == scalar.query()
 
@@ -139,34 +143,40 @@ def test_ggate_scope_must_be_a_key_or_bytes():
 
 
 def test_update_errors():
-    c = build_flat_circuit({1: F1_LEVEL})
+    c = build_flat_circuit({1: F1_LEVEL}).fork(_oracle(0))
     fs = FreshSource(SEED)
     with pytest.raises(ValueError):
-        c.update("nope", 1.0, fs, _oracle(0))
+        c.update("nope", 1.0, fs)
     with pytest.raises(ValueError):
-        c.update(("g", 1), 1.0, fs, _oracle(0))  # not an input gate
-    with pytest.raises(ValueError):
-        c.update(("in", 1), 0.0, fs, _oracle(0))
+        c.update(("g", 1), 1.0, fs)  # not an input gate
+    for bad in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="delta must be positive and finite"):
+            c.update(("in", 1), bad, fs)
+    assert fs.counter == 0  # rejected before drawing randomness
     with pytest.raises(ValueError):
         c.output(("in", 1))
 
 
 def test_update_rejects_invalid_circuit():
-    # never validated: update validates first and names the gate and the rule
+    # never validated: update and fork validate first and name the gate and the rule
     fork = _chain(("in", InputGate()), ("g", GGate(F1_LEVEL, 0, 1)),
                   ("o1", OutputGate()), ("o2", OutputGate()))
     fork.add_wire("in", "g")
     fork.add_wire("g", "o1")
     fork.add_wire("g", "o2")
-    with pytest.raises(ValueError, match="'g'.*successor"):
-        fork.update("in", 1.0, FreshSource(SEED), _oracle(0))
+    with pytest.raises(CircuitError, match="'g'.*successor"):
+        fork.update("in", 1.0, FreshSource(SEED))
+    with pytest.raises(CircuitError, match="'g'.*successor"):
+        fork.fork(_oracle(0))
     loop = _chain(("in", InputGate()), ("g1", GGate(F1_LEVEL, 0, 1)),
                   ("g2", GGate(F1_LEVEL, 0, 2)), ("out", OutputGate()))
     loop.add_wire("in", "g1")
     loop.add_wire("g1", "g2")
     loop.add_wire("g2", "g1")
-    with pytest.raises(ValueError, match="'g1'.*cycle"):
-        loop.update("in", 1.0, FreshSource(SEED), _oracle(0))
+    with pytest.raises(CircuitError, match="'g1'.*cycle"):
+        loop.update("in", 1.0, FreshSource(SEED))
+    with pytest.raises(CircuitError, match="'g1'.*cycle"):
+        CircuitSketch(loop, {1: "in"}, "out", _oracle(0))
 
 
 def test_duplicate_gate_and_unknown_wire():
@@ -185,11 +195,11 @@ def test_flat_circuit_matches_gsampler_seed_for_seed():
         stream = [(rnd.choice(keys), rnd.uniform(0.1, 5.0))
                   for _ in range(rnd.randint(1, 40))]
         oracle = _oracle(1000 + i)
-        circuit = build_flat_circuit({k: FHALF_LEVEL for k in keys})
+        circuit = build_flat_circuit({k: FHALF_LEVEL for k in keys}).fork(oracle)
         fresh = FreshSource(oracle.seed)
         scalar = GSampler(FHALF_LEVEL, oracle)
         for key, delta in stream:
-            circuit.update(("in", key), delta, fresh, oracle)
+            circuit.update(("in", key), delta, fresh)
             scalar.update(key, delta)
         assert circuit.output("out") == scalar.query()
 
@@ -198,11 +208,11 @@ def test_flat_circuit_ties_at_infinity_match_gsampler():
     # 1e-310 deltas put every candidate at inf: the first arrival is kept,
     # then the smaller key takes the tie, as in the sampler
     oracle = _oracle(2000)
-    circuit = build_flat_circuit({k: FHALF_LEVEL for k in (1, 0)})
+    circuit = build_flat_circuit({k: FHALF_LEVEL for k in (1, 0)}).fork(oracle)
     fresh = FreshSource(oracle.seed)
     scalar = GSampler(FHALF_LEVEL, oracle)
     for key in (1, 0):
-        circuit.update(("in", key), 1e-310, fresh, oracle)
+        circuit.update(("in", key), 1e-310, fresh)
         scalar.update(key, 1e-310)
     assert scalar.query() == (0, math.inf)
     assert circuit.output("out") == scalar.query()
@@ -218,15 +228,15 @@ def test_edge_sampler_reports_an_edge_after_subnormal_deltas():
 def test_heterogeneous_flat_circuit():
     # frequency weight on key 1 (mass 3), presence weight on key 2 (mass 5):
     # P(key 1) = 3 / (3 + 1)
-    weights = {1: F1_LEVEL, 2: LevelFunction(F0())}
+    circuit = build_flat_circuit({1: F1_LEVEL, 2: LevelFunction(F0())})
     hits = 0
     reps = 20_000
     for rep in range(reps):
         oracle = _oracle(40_000 + rep)
-        c = build_flat_circuit(weights)
+        c = circuit.fork(oracle)
         fresh = FreshSource(oracle.seed)
-        c.update(("in", 1), 3.0, fresh, oracle)
-        c.update(("in", 2), 5.0, fresh, oracle)
+        c.update(("in", 1), 3.0, fresh)
+        c.update(("in", 2), 5.0, fresh)
         hits += c.output("out")[0] == 1
     assert abs(hits / reps - 0.75) <= 3 * math.sqrt(0.1875 / reps)
 
@@ -234,16 +244,17 @@ def test_heterogeneous_flat_circuit():
 def test_scalar_gate_halves_rate():
     # input -> frequency gate -> divide by 2 -> output: rate 2 * mass
     mass = 1.5
+    circuit = _chain(("in", InputGate()), ("g", GGate(F1_LEVEL, 0, 1)),
+                     ("half", ScalarGate(2.0)), ("out", OutputGate()))
+    circuit.add_wire("in", "g")
+    circuit.add_wire("g", "half")
+    circuit.add_wire("half", "out")
+    assert circuit.validate() is None
     values = []
     for rep in range(5_000):
         oracle = _oracle(80_000 + rep)
-        c = _chain(("in", InputGate()), ("g", GGate(F1_LEVEL, 0, 1)),
-                   ("half", ScalarGate(2.0)), ("out", OutputGate()))
-        c.add_wire("in", "g")
-        c.add_wire("g", "half")
-        c.add_wire("half", "out")
-        assert c.validate() is None
-        c.update("in", mass, FreshSource(oracle.seed), oracle)
+        c = circuit.fork(oracle)
+        c.update("in", mass, FreshSource(oracle.seed))
         values.append(c.output("out")[1])
     assert ks_test_exponential(values, 2.0 * mass).passed
 
@@ -327,31 +338,34 @@ def _hub_edge_sampler():
 
 
 def _check_against_reference(c, wires, rnd, oracles, gates, tiny):
-    """Feed c one update per entry of gates and recompute every output by
-    hand after every update: one fresh draw per wire in declaration order,
-    pushed through that wire's gates."""
-    fresh, ref_fresh = FreshSource(oracles[0].seed), FreshSource(oracles[0].seed)
-    state = {}
+    """Run one fork of c per oracle, feed the forks one update per entry of
+    gates, in turn, and recompute every output of every fork by hand after
+    every update: one fresh draw per wire in declaration order, pushed
+    through that wire's gates with seeds drawn under that fork's oracle.
+    So a seed table shared between forks, or a fork reading another's
+    oracle, fails."""
+    runs = [(c.fork(oracle), oracle, FreshSource(oracle.seed), FreshSource(oracle.seed), {})
+            for oracle in oracles]
     for gate in gates:
-        # gate seeds follow the oracle each update is given
-        oracle = rnd.choice(oracles)
         delta = 1e-310 if rnd.random() < tiny else rnd.uniform(0.1, 5.0)
-        c.update(gate, delta, fresh, oracle)
-        for ops, out, label in wires[gate]:
-            value = fresh_exp(ref_fresh) / delta
-            for op in ops:
-                if op[0] == "s":
-                    value /= op[1]
-                else:
-                    _, level, salt, scope = op
-                    salted = OracleHash(oracle.seed, salt)
-                    u = (hash_unit_bytes(salted, scope) if isinstance(scope, bytes)
-                         else hash_unit(salted, scope))
-                    value = level.eval(value, u)
-            if out not in state or (value, label) < state[out][::-1]:
-                state[out] = (label, value)
-        for out in c.output_gate_ids():
-            assert c.output(out) == state.get(out)
+        for fork, oracle, fresh, ref_fresh, state in runs:
+            fork.update(gate, delta, fresh)
+            for ops, out, label in wires[gate]:
+                value = fresh_exp(ref_fresh) / delta
+                for op in ops:
+                    if op[0] == "s":
+                        value /= op[1]
+                    else:
+                        _, level, salt, scope = op
+                        salted = OracleHash(oracle.seed, salt)
+                        u = (hash_unit_bytes(salted, scope) if isinstance(scope, bytes)
+                             else hash_unit(salted, scope))
+                        value = level.eval(value, u)
+                if out not in state or (value, label) < state[out][::-1]:
+                    state[out] = (label, value)
+            for out in fork.output_gate_ids():
+                assert fork.output(out) == state.get(out)
+    assert all(c.output(out) is None for out in c.output_gate_ids())  # forks run alone
 
 
 def test_propagation_matches_reference():
@@ -431,8 +445,9 @@ def test_edge_sampler_value_law():
     masses = {1: 1.0, 2: 2.0}
     rate = edge_weight(1.0, 2.0)
     values = []
+    sampler = EdgeSampler(spec)
     for rep in range(4_000):
-        s = EdgeSampler(spec, _oracle(100_000 + rep))
+        s = sampler.fork(_oracle(100_000 + rep))
         for v, m in masses.items():
             s.update(v, m)
         values.append(s.query()[1])
@@ -444,8 +459,9 @@ def test_path_graph_symmetric():
     spec = EdgeSamplerSpec((1, 2, 3), ((1, 2), (2, 3)))
     hits = 0
     reps = 20_000
+    sampler = EdgeSampler(spec)
     for rep in range(reps):
-        s = EdgeSampler(spec, _oracle(200_000 + rep))
+        s = sampler.fork(_oracle(200_000 + rep))
         for v, m in ((1, 2.0), (2, 1.0), (3, 2.0)):
             s.update(v, m)
         hits += s.query()[0] == (1, 2)
@@ -457,8 +473,9 @@ def test_triangle_distribution():
     masses = {1: 1.0, 2: 2.0, 3: 3.0}
     counts = Counter()
     reps = 20_000
+    sampler = EdgeSampler(spec)
     for rep in range(reps):
-        s = EdgeSampler(spec, _oracle(300_000 + rep))
+        s = sampler.fork(_oracle(300_000 + rep))
         for v in sorted(masses):
             s.update(v, masses[v])
         counts[s.query()[0]] += 1
@@ -470,8 +487,9 @@ def test_hyperedge_arity3():
     masses = {1: 0.5, 2: 1.0, 3: 2.0, 4: 4.0}
     counts = Counter()
     reps = 15_000
+    sampler = EdgeSampler(spec)
     for rep in range(reps):
-        s = EdgeSampler(spec, _oracle(400_000 + rep))
+        s = sampler.fork(_oracle(400_000 + rep))
         for v in sorted(masses):
             s.update(v, masses[v])
         counts[s.query()[0]] += 1
@@ -507,6 +525,42 @@ def test_sketches_over_one_circuit_keep_their_own_state():
             assert sketch.query() == scalar.query()
     assert a.query() != b.query()
     assert circuit.output("out") is None  # the circuit itself runs nothing
+
+
+def test_circuit_sketch_checks_updates_like_the_samplers():
+    # an isolated vertex (3), a key with no vertex (99) and a key outside 64
+    # bits are all checked before the input-gate lookup, as GSampler checks them
+    s = EdgeSampler(EdgeSamplerSpec((1, 2, 3), ((1, 2),)), _oracle(9))
+    scalar = GSampler(F1_LEVEL, _oracle(9))
+    for key, delta in ((3, -1.0), (3, math.nan), (3, math.inf), (99, -1.0), (99, 0.0),
+                       (-5, 1.0), (1 << 64, 1.0), (1, -1.0), (1, math.inf)):
+        for sketch in (s, scalar):
+            with pytest.raises(ValueError, match="key must lie|delta must be positive"):
+                sketch.update(key, delta)
+    assert s.fresh.counter == 0 and s.query() is None
+    s.update(99, 1.0)  # a legal key with no input gate cannot change the output
+    s.update(3, 1e-310)
+    assert s.fresh.counter == 0 and s.query() is None
+
+
+def test_sketch_forks_replay_one_compiled_circuit():
+    # a fork runs the same compiled circuit under its own oracle, from
+    # empty, bit for bit as a sketch built for that oracle
+    spec = EdgeSamplerSpec((1, 2, 3, 4), ((1, 2), (2, 3), (1, 3, 4)))
+    template = EdgeSampler(spec, _oracle(10))
+    template.update(1, 2.0)
+    before = template.query()
+    for rep in range(30):
+        fork = template.fork(_oracle(1_000 + rep))
+        assert fork.circuit.gates is template.circuit.gates
+        assert fork.query() is None
+        built = EdgeSampler(spec, _oracle(1_000 + rep))
+        for v, m in ((1, 1.0), (4, 0.5), (2, 3.0), (3, 0.25), (1, 1e-310)):
+            fork.update(v, m)
+            built.update(v, m)
+            assert fork.query() == built.query()
+        assert fork.fresh.counter == built.fresh.counter
+    assert template.query() == before
 
 
 def test_scalar_gate_rejects_non_finite_alpha():
@@ -550,11 +604,12 @@ def test_asymmetric_directed_pairs():
                               (w12 / (w12 + w21), w21 / (w12 + w21)))
     counts = Counter()
     reps = 20_000
+    circuit = _directed_pair_circuit()
     for rep in range(reps):
         oracle = _oracle(500_000 + rep)
-        c = _directed_pair_circuit()
+        c = circuit.fork(oracle)
         fresh = FreshSource(oracle.seed)
         for v in sorted(masses):
-            c.update(("in", v), masses[v], fresh, oracle)
+            c.update(("in", v), masses[v], fresh)
         counts[c.output("out")[0]] += 1
     assert chi_square_gof(counts, exact).passed

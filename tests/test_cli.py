@@ -53,7 +53,8 @@ def test_parse_stream_only_ascii_digits_are_decimal_keys():
 
 
 def test_parse_stream_errors():
-    for bad in ("1\n", "a b c\n", "1 zero\n", "1 -3\n", "1 0\n"):
+    for bad in ("1\n", "a b c\n", "1 zero\n", "1 -3\n", "1 0\n", "1 inf\n", "1 1e999\n",
+                "1 nan\n"):
         with pytest.raises(StreamParseError) as err:
             parse_stream(bad, SEED, "f.txt")
         assert "f.txt:1" in str(err.value)
@@ -285,6 +286,19 @@ def test_main_verify_exit_codes(monkeypatch, tmp_path):
     orig = lv.eval_f0
     monkeypatch.setattr(lv, "eval_f0", lambda a, b: 2.0 * orig(a, b))
     assert main(["verify", "level", "--quick", "--seed", "beef"]) == 1
+
+
+@pytest.mark.parametrize("command", ["sample", "edge-sample"])
+def test_main_infinite_delta_exits_2_with_its_line(tmp_path, capsys, command):
+    graph = tmp_path / "g.txt"
+    graph.write_text("edge 1 2\n")
+    stream = tmp_path / "s.txt"
+    stream.write_text("1 1\n1 inf\n")
+    args = [command, str(stream)] if command == "sample" else [command, str(graph), str(stream)]
+    assert main(args + ["--reps", "5", "--seed", "beef"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {stream}:2: delta must be positive and finite, got inf")
+    assert "Traceback" not in err
 
 
 def test_main_edge_sample(tmp_path):

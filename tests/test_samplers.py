@@ -71,6 +71,23 @@ def test_update_validation():
         s.update(1, 0.0)
 
 
+def test_non_finite_deltas_rejected():
+    # 0 < delta < inf: an infinite delta would store a = Y/delta = 0, a point
+    # that dominates every later one and that no frame can hold
+    level = LevelFunction(F1())
+    for bad in (math.inf, math.nan, -math.inf):
+        with pytest.raises(ValueError, match="positive and finite"):
+            Update(1, bad)
+        for s in (GSampler(level, _oracle(0)), ParetoSampler(_oracle(0)),
+                  WorSampler(2, level, _oracle(0)), KParetoSampler(2, _oracle(0))):
+            with pytest.raises(ValueError, match="positive and finite"):
+                s.update(1, bad)
+            assert s.fresh.counter == 0  # rejected before drawing randomness
+            s.update(1, 1e-310)  # a subnormal delta is legal
+            s.update(2, 1.0)
+            assert deserialize(s.to_bytes(), level).to_bytes() == s.to_bytes()
+
+
 def test_keys_outside_64_bits_rejected():
     level = LevelFunction(F1())
     for bad in (-1, 1 << 64):
