@@ -295,8 +295,7 @@ class Circuit:
         return list(self._out_state)
 
 
-def build_flat_circuit(weights_by_key: dict[int, LevelFunction],
-                       base_salt: int = 0) -> Circuit:
+def build_flat_circuit(weights_by_key: dict[int, LevelFunction]) -> Circuit:
     """One input gate and one G-gate per key, all feeding one output gate.
 
     With the same weight function everywhere this reproduces a GSampler
@@ -307,7 +306,7 @@ def build_flat_circuit(weights_by_key: dict[int, LevelFunction],
     c.add_gate("out", OutputGate())
     for key in weights_by_key:
         c.add_gate(("in", key), InputGate())
-        c.add_gate(("g", key), GGate(weights_by_key[key], base_salt, key),
+        c.add_gate(("g", key), GGate(weights_by_key[key], 0, key),
                    label=key)
         c.add_wire(("in", key), ("g", key))
         c.add_wire(("g", key), "out")

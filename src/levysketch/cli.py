@@ -32,7 +32,7 @@ import struct
 import sys
 from collections import Counter
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterator, Optional
 
 from .circuits import Circuit, CircuitError, CircuitSketch, EdgeSampler, EdgeSamplerSpec, \
     GGate, InputGate, OutputGate, ScalarGate, build_edge_sampler
@@ -87,13 +87,17 @@ def _vertex_ids(tokens: list[str], where: str) -> tuple[int, ...]:
     return ids
 
 
+def _fields(text: str) -> Iterator[tuple[int, str, list[str]]]:
+    """(line number, line, fields) for each line with fields once its # comment is cut."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        parts = raw.split("#", 1)[0].split()
+        if parts:
+            yield lineno, raw, parts
+
+
 def parse_stream(text: str, seed: bytes, source: str = "<stream>") -> list[StreamRecord]:
     records = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
+    for lineno, raw, parts in _fields(text):
         if len(parts) != 2:
             raise StreamParseError(
                 f"{source}:{lineno}: expected 'key delta', got {raw!r}")
@@ -112,11 +116,7 @@ def parse_stream(text: str, seed: bytes, source: str = "<stream>") -> list[Strea
 
 def parse_graph(text: str, source: str = "<graph>") -> EdgeSamplerSpec:
     edges = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
+    for lineno, raw, parts in _fields(text):
         if parts[0] != "edge" or not (3 <= len(parts) <= 5):
             raise StreamParseError(
                 f"{source}:{lineno}: expected 'edge u v [w ...]', got {raw!r}")
@@ -149,11 +149,7 @@ def load_circuit_file(text: str, source: str = "<circuit>") -> LoadedCircuit:
     gate_lines = []
     wire_lines = []
     edge_lines = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
+    for lineno, raw, parts in _fields(text):
         if parts[0] == "gate" and len(parts) == 3:
             gate_lines.append((lineno, parts[1], parts[2]))
         elif parts[0] == "wire" and len(parts) == 3:

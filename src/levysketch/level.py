@@ -13,9 +13,10 @@ l_G(a, b) on (0, inf) x (0, 1) with two properties this library is built on:
 * Transformation: if A ~ Exp(lam) and B ~ Uniform(0, 1) independently, then
   l_G(A, B) ~ Exp(G(lam)).
 
-A weight is stored as the sum it is: a tuple of terms (kind, param, coeff),
-each a kind from the table below times a positive coefficient.  The kinds
-have direct evaluations:
+A weight is stored in its normal form: a sum of killing rate c, drift g0
+and atoms ((tau_i, w_i), ...) by descending tau, equal taus merged, or fhalf
+or log alone times a coefficient.  Its parts are kinds from this table, each
+times a positive coefficient, and each kind has a direct evaluation:
 
 * f0 (killing, 1{z > 0}):        l(a, b) = -log(1 - b)
 * f1 (drift, z):                 l(a, b) = a
@@ -25,12 +26,12 @@ have direct evaluations:
 * log (log(1 + z)):              l(a, b) solves  Q(w, a) = b  in the shape w
 
 and a coefficient divides the level: l_{alpha G} = l_G / alpha.  The
-constructors F0, F1, FHalf, SoftCap, Log, Scaled and KilledDriftSum return
-these term tuples, so equal weights compare equal however they were built:
+constructors F0, F1, FHalf, SoftCap, Log, Scaled and KilledDriftSum build the
+normal form, so equal weights compare equal however they were built:
 Scaled(2, Scaled(3, Log())) == Scaled(6, Log()), KilledDriftSum(c=1) == F0().
 
-Every weight evaluates on one (a, b) pair.  A sum (killing c, drift g0, atoms
-of rate w_i and jump tau_i; fhalf and log stand alone) is the subordinator
+Every weight evaluates on one (a, b) pair; one part through its kind's row.
+A sum of more (atoms of rate w_i and jump tau_i) is the subordinator
 X_t = g0*t + sum_i tau_i*N_i(w_i*t) killed at rate c, and its level is the
 first double t with c*t - log1p(-T(t)) >= -log1p(-b), T(t) = P(X_t >= a), by
 numerics.first_true: nondecreasing in b bit for bit, and in a as far as the
@@ -49,9 +50,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional
-
 from fractions import Fraction
+from typing import Callable, NamedTuple, Optional
 
 from scipy.special.cython_special import gammaincinv, ndtr
 
@@ -75,7 +75,6 @@ __all__ = [
     "Log",
     "Scaled",
     "KilledDriftSum",
-    "Term",
     "WeightFunction",
     "LevelFunction",
     "eval_f0",
@@ -90,16 +89,8 @@ __all__ = [
 ]
 
 
-class Term(NamedTuple):
-    """One summand of a weight function: coeff * G_kind, G_kind set by param."""
-
-    kind: str
-    param: float
-    coeff: float
-
-
 class _Kind(NamedTuple):
-    """One row of the term table."""
+    """One row of the table of kinds."""
 
     value: Callable[[float, float], float]  # (param, z) -> G(z)
     level: Callable[[float, float, float], float]  # (param, a, b) -> l(a, b)
@@ -125,73 +116,82 @@ _KINDS: dict[str, _Kind] = {
 
 @dataclass(frozen=True)
 class WeightFunction:
-    """G = sum of its terms, kept in the order their randomness is drawn."""
+    """G(z) = c*1{z>0} + g0*z + sum_i w_i*(1 - exp(-tau_i*z)) + fhalf*sqrt(z)
+    + log*log(1 + z) in normal form: atoms ((tau_i, w_i), ...) by descending
+    tau with equal taus merged, and fhalf or log only as the one nonzero part."""
 
-    terms: tuple[Term, ...]
+    c: float = 0.0
+    g0: float = 0.0
+    atoms: tuple[tuple[float, float], ...] = ()
+    fhalf: float = 0.0
+    log: float = 0.0
 
     def __post_init__(self) -> None:
-        if not self.terms:
-            raise ValueError("weight function is identically zero")
-        for kind, _, coeff in self.terms:
-            if kind not in _KINDS:
-                raise ValueError(f"unknown term kind {kind!r}")
+        merged: dict[float, float] = {}
+        for tau, w in sorted(self.atoms, reverse=True):
+            if not (0 < tau < math.inf and w > 0):  # _lattice needs a finite tau
+                raise ValueError(f"atom rate must be positive and finite, weight positive, "
+                                 f"got ({tau}, {w})")
+            merged[float(tau)] = merged.get(float(tau), 0.0) + w
+        object.__setattr__(self, "atoms", tuple(merged.items()))
+        for name in ("c", "g0", "fhalf", "log"):
+            object.__setattr__(self, name, float(getattr(self, name)) or 0.0)  # no -0.0
+        parts = _parts(self)
+        for kind, _, coeff in parts:
             if not (0 < coeff < math.inf):  # at inf every level would be 0
-                raise ValueError(f"term coefficient must be positive and finite, got {coeff}")
-            if kind in ("fhalf", "log") and len(self.terms) > 1:
-                raise ValueError(f"{kind} cannot be a term of a sum")
+                raise ValueError(f"{kind} coefficient must be positive and finite, got {coeff}")
+        if not parts:
+            raise ValueError("weight function is identically zero")
+        if len(parts) > 1 and (self.fhalf or self.log):
+            raise ValueError("fhalf and log weights stand alone, outside any sum")
+
+
+def _parts(g: WeightFunction) -> list[tuple[str, float, float]]:
+    """g's nonzero parts as (kind, param, coeff), in normal-form order."""
+    parts = [("f0", 0.0, g.c), ("f1", 0.0, g.g0), *(("softcap", tau, w) for tau, w in g.atoms),
+             ("fhalf", 0.0, g.fhalf), ("log", 0.0, g.log)]
+    return [part for part in parts if part[2]]
 
 
 def F0() -> WeightFunction:
     """G(z) = 1{z > 0}: distinct-element weight (unit killing rate)."""
-    return WeightFunction((Term("f0", 0.0, 1.0),))
+    return WeightFunction(c=1.0)
 
 
 def F1() -> WeightFunction:
     """G(z) = z: plain frequency weight (unit drift)."""
-    return WeightFunction((Term("f1", 0.0, 1.0),))
+    return WeightFunction(g0=1.0)
 
 
 def FHalf() -> WeightFunction:
     """G(z) = sqrt(z): square-root moment weight."""
-    return WeightFunction((Term("fhalf", 0.0, 1.0),))
+    return WeightFunction(fhalf=1.0)
 
 
 def SoftCap(tau: float) -> WeightFunction:
     """G(z) = 1 - exp(-tau * z): smooth surrogate for min(tau*z, 1) caps."""
-    if not (tau > 0):
-        raise ValueError(f"tau must be positive, got {tau}")
-    return WeightFunction((Term("softcap", float(tau), 1.0),))
+    return WeightFunction(atoms=((tau, 1.0),))
 
 
 def Log() -> WeightFunction:
     """G(z) = log(1 + z)."""
-    return WeightFunction((Term("log", 0.0, 1.0),))
+    return WeightFunction(log=1.0)
 
 
 def Scaled(alpha: float, inner: WeightFunction) -> WeightFunction:
-    """G = alpha * inner for a positive scalar alpha."""
-    if not (alpha > 0):
-        raise ValueError(f"alpha must be positive, got {alpha}")
-    return WeightFunction(tuple(Term(kind, param, alpha * coeff)
-                                for kind, param, coeff in inner.terms))
+    """G = alpha * inner for a positive finite scalar alpha."""
+    if not (0 < alpha < math.inf):
+        raise ValueError(f"alpha must be positive and finite, got {alpha}")
+    return WeightFunction(alpha * inner.c, alpha * inner.g0,
+                          tuple((tau, alpha * w) for tau, w in inner.atoms),
+                          alpha * inner.fhalf, alpha * inner.log)
 
 
 def KilledDriftSum(c: float = 0.0, g0: float = 0.0,
                    atoms: tuple[tuple[float, float], ...] = ()) -> WeightFunction:
-    """G(z) = c*1{z>0} + g0*z + sum_i w_i*(1 - exp(-r_i*z)).
-
-    atoms is a finite tuple of (weight, rate) pairs, both positive.  The
-    terms are the killing term, the drift term, then the atoms in order.
-    """
-    if c < 0 or g0 < 0:
-        raise ValueError("killing rate and drift must be non-negative")
-    for w, r in atoms:
-        if not (w > 0 and r > 0):
-            raise ValueError(f"atom weight and rate must be positive, got ({w}, {r})")
-    terms = [Term(kind, 0.0, float(coeff))
-             for kind, coeff in (("f0", c), ("f1", g0)) if coeff > 0]
-    terms += [Term("softcap", float(r), float(w)) for w, r in atoms]
-    return WeightFunction(tuple(terms))
+    """G(z) = c*1{z>0} + g0*z + sum_i w_i*(1 - exp(-r_i*z)), with atoms a
+    finite tuple of (weight, rate) pairs, both positive, in any order."""
+    return WeightFunction(c, g0, tuple((r, w) for w, r in atoms))
 
 
 CATALOGUE: tuple[WeightFunction, ...] = (
@@ -200,11 +200,11 @@ CATALOGUE: tuple[WeightFunction, ...] = (
 
 
 def weight_value(g: WeightFunction, z: float) -> float:
-    """Evaluate G(z) in closed form: the sum of its terms' values."""
+    """Evaluate G(z) in closed form: the sum of its parts' values."""
     if z < 0:
         raise ValueError(f"mass must be non-negative, got {z}")
     total = 0.0
-    for kind, param, coeff in g.terms:
+    for kind, param, coeff in _parts(g):
         total += coeff * _KINDS[kind].value(param, z)
     return total
 
@@ -290,7 +290,7 @@ def eval_log(a: float, b: float) -> float:
 
 
 def _above(forward, param, coeff, a, b, bound) -> bool:
-    """True when one forward value proves a term's level above bound.
+    """True when one forward value proves a lone part's level above bound.
 
     A level comes from numerics.solve_monotone_increasing or, for softcap,
     from gammaincinv kept by numerics.meets_contract.  Either way numerics'
@@ -431,13 +431,6 @@ def _sum_level(c: float, g0: float, atoms: tuple, h: float, drift: float, merged
     return level if level <= bound else math.inf
 
 
-def _sum_parts(terms: tuple) -> tuple:
-    """A sum's killing rate, drift and atoms ((tau, w), ...) in term order."""
-    return (sum(coeff for kind, _, coeff in terms if kind == "f0"),
-            sum(coeff for kind, _, coeff in terms if kind == "f1"),
-            tuple((p, coeff) for kind, p, coeff in terms if kind == "softcap"))
-
-
 def _lattice(taus: list) -> float:
     """The span h of the lattice h*Z the jumps share: min(taus) over the
     least common denominator of each tau / min(taus), read as a fraction
@@ -451,16 +444,16 @@ def _lattice(taus: list) -> float:
 
 class LevelFunction:
     """Evaluator for the level function of a weight function on one (a, b)
-    pair: a term's own evaluator divided by its coefficient, or a sum's."""
+    pair: a lone part's kind evaluator divided by its coefficient, or the
+    sum's level of c, g0 and the atoms in their normal order."""
 
     def __init__(self, g: WeightFunction):
         self.weight = g
-        kind, param, coeff = g.terms[0]
-        self._term = (_KINDS[kind].level, _KINDS[kind].forward, param, coeff)
-        c, g0, atoms = _sum_parts(g.terms)
-        atoms = tuple(sorted(atoms, reverse=True))
-        self._sum = None if len(g.terms) == 1 else (
-            c, g0, atoms, _lattice([tau for tau, _ in atoms] or [1.0]),
+        (kind, param, coeff), *more = _parts(g)
+        self._part = (_KINDS[kind].level, _KINDS[kind].forward, param, coeff)
+        atoms = g.atoms
+        self._sum = None if not more else (
+            g.c, g.g0, atoms, _lattice([tau for tau, _ in atoms] or [1.0]),
             math.fsum(tau * w for tau, w in atoms),
             ((atoms[0][0], math.fsum(w for _, w in atoms)),) if atoms else ())
 
@@ -471,7 +464,7 @@ class LevelFunction:
         """l_G(a, b), or inf when the forward test proves it above bound."""
         if self._sum is not None:
             return _sum_level(*self._sum, a, b, bound)
-        level, forward, param, coeff = self._term
+        level, forward, param, coeff = self._part
         if forward is not None and bound < math.inf and _above(forward, param, coeff, a, b, bound):
             return math.inf
         return level(param, a, b) / coeff
@@ -506,15 +499,20 @@ def _parse_unscaled(text: str) -> WeightFunction:
     kind, sep, param_text = text.partition(":")
     row = _KINDS.get(kind)
     if row is not None and bool(sep) == bool(row.param_name):
-        param = _parse_number(param_text, row.param_name) if sep else 0.0
-        return WeightFunction((Term(kind, param, 1.0),))
+        if sep:
+            return SoftCap(_parse_number(param_text, row.param_name))
+        return {"f0": F0, "f1": F1, "fhalf": FHalf, "log": Log}[kind]()
     if text.startswith("sum:"):
         fields = {}
         for part in text[len("sum:"):].split(","):
             name, sep, value = part.partition("=")
+            name = name.strip()
             if not sep:
                 raise ValueError(f"malformed sum field {part!r} in {text!r}")
-            fields[name.strip()] = value.strip()
+            if name not in ("c", "g0", "atoms") or name in fields:
+                raise ValueError(f"{'repeated' if name in fields else 'unknown'} sum field "
+                                 f"{name!r} in {text!r}")
+            fields[name] = value.strip()
         missing = {"c", "g0", "atoms"} - fields.keys()
         if missing:
             raise ValueError(f"sum grammar missing {sorted(missing)}: {text!r}")
@@ -526,37 +524,24 @@ def _parse_unscaled(text: str) -> WeightFunction:
                     raise ValueError(f"malformed atom {atom_text!r} in {text!r}")
                 atoms.append((_parse_number(w_text, "atom weight"),
                               _parse_number(r_text, "atom rate")))
-        return KilledDriftSum(
-            c=_parse_number(fields["c"], "c", positive=False),
-            g0=_parse_number(fields["g0"], "g0", positive=False),
-            atoms=tuple(atoms),
-        )
+        return KilledDriftSum(_parse_number(fields["c"], "c", positive=False),
+                              _parse_number(fields["g0"], "g0", positive=False), tuple(atoms))
     raise ValueError(f"unrecognized weight function grammar: {text!r}")
 
 
 def weight_grammar(g: WeightFunction) -> str:
-    """The grammar of g's normalised form, which parse_weight reads back as g.
+    """The one spelling of g, which parse_weight reads back as g.
 
-    One term prints as its kind, scaled when its coefficient is not 1; more
-    terms print as a sum, which spells a killing term, a drift term and
-    soft-cap atoms in that order.  ValueError for any other weight.
+    A lone part prints as its kind, scaled when its coefficient is not 1;
+    more parts print as a sum of c, g0 and the atoms in normal order.
     """
-    if len(g.terms) == 1:
-        kind, param, coeff = g.terms[0]
-        text = f"{kind}:{_num(param)}" if _KINDS[kind].param_name else kind
-        if coeff != 1.0:
-            text = f"scale:{_num(coeff)}:{text}"
-    else:
-        c, g0, atoms = _sum_parts(g.terms)
-        atoms = ";".join(f"{_num(w)}x{_num(tau)}" for tau, w in atoms)
-        text = f"sum:c={_num(c)},g0={_num(g0)},atoms={atoms}"
-    try:
-        spelled = parse_weight(text)
-    except ValueError:
-        spelled = None
-    if spelled != g:
-        raise ValueError(f"the weight grammar cannot spell {g!r}")
-    return text
+    parts = _parts(g)
+    if len(parts) > 1:
+        atoms = ";".join(f"{_num(w)}x{_num(tau)}" for tau, w in g.atoms)
+        return f"sum:c={_num(g.c)},g0={_num(g.g0)},atoms={atoms}"
+    kind, param, coeff = parts[0]
+    text = f"{kind}:{_num(param)}" if _KINDS[kind].param_name else kind
+    return text if coeff == 1.0 else f"scale:{_num(coeff)}:{text}"
 
 
 def _num(x: float) -> str:

@@ -24,7 +24,7 @@ from levysketch.cli import (
     parse_stream,
 )
 import levysketch
-from levysketch.randomness import key_for_string, parse_seed
+from levysketch.randomness import DEFAULT_SEED, key_for_string, parse_seed
 
 SEED = parse_seed("c1f00d")
 
@@ -275,6 +275,11 @@ def test_main_exit_codes(tmp_path, capsys):
                  ["--g", "scale:inf:f1"], ["--g", "sum:c=inf,g0=0,atoms="]):
         assert main(["sample", str(good), "--reps", "3", *args]) == 2, args
         assert capsys.readouterr().err.startswith("error: ")
+    # a sum field mistyped or given twice names itself
+    for g, field in (("sum:c=1,g0=0,atoms=,cap=5", "unknown sum field 'cap'"),
+                     ("sum:c=1,c=2,g0=0,atoms=", "repeated sum field 'c'")):
+        assert main(["sample", str(good), "--reps", "3", "--g", g]) == 2, g
+        assert field in capsys.readouterr().err
 
 
 def test_main_verify_exit_codes(monkeypatch, tmp_path):
@@ -459,3 +464,12 @@ def test_reports_are_pinned():
             got[sketch, g, mode] = _digest(cmd_sample(
                 RunConfig(SEED, sketch, g, 200, mode), records))
     assert got == _PINNED
+
+
+# SHA-256 of json.dumps(report, sort_keys=True) of `levysketch verify all
+# --quick` (71 checks) at the default seed; the same rule as _PINNED applies.
+_PINNED_VERIFY = "03bad5981c182c86b7f1cf4fa23dcd44485e2c8e85361ed2f3d6eb790baf34d1"
+
+
+def test_quick_verify_is_pinned():
+    assert _digest(cmd_verify("all", DEFAULT_SEED, quick=True)[0]) == _PINNED_VERIFY

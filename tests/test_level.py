@@ -21,7 +21,6 @@ from levysketch.level import (
     Log,
     Scaled,
     SoftCap,
-    Term,
     WeightFunction,
     eval_f0,
     eval_f1,
@@ -35,7 +34,8 @@ from levysketch.level import (
 import levysketch.level as level_module
 from levysketch.numerics import poisson_tail, regularized_gamma_q, residual, stop_width
 from levysketch.oracle import ks_test_exponential
-from levysketch.randomness import FreshSource, fresh_exp, parse_seed
+from levysketch.randomness import FreshSource, OracleHash, derive_seed, fresh_exp, parse_seed
+from levysketch.samplers import GSampler, WorSampler
 
 SEED = parse_seed("1e7e1")
 
@@ -273,32 +273,36 @@ def test_weight_validation():
         KilledDriftSum(atoms=((0.0, 1.0),))
     with pytest.raises(ValueError):
         KilledDriftSum()  # identically zero
-    with pytest.raises(ValueError):
-        WeightFunction(())
-    with pytest.raises(ValueError):
-        WeightFunction((Term("f2", 0.0, 1.0),))
-    with pytest.raises(ValueError):
-        WeightFunction((Term("f1", 0.0, 0.0),))
+    for bad in ({}, {"g0": -1.0}, {"c": math.nan}, {"atoms": ((1.0, 0.0),)},
+                {"atoms": ((-1.0, 2.0), (1.0, 2.0))},  # no merge hides a negative
+                {"atoms": ((math.nan, 1.0),)}):
+        with pytest.raises(ValueError):
+            WeightFunction(**bad)
     # a sum holds killing, drift and soft caps only, as the grammar spells it
     for kind in ("fhalf", "log"):
-        with pytest.raises(ValueError, match="sum"):
-            WeightFunction((Term("f1", 0.0, 1.0), Term(kind, 0.0, 1.0)))
+        with pytest.raises(ValueError, match="stand alone"):
+            WeightFunction(g0=1.0, **{kind: 1.0})
+    with pytest.raises(ValueError, match="stand alone"):
+        WeightFunction(fhalf=1.0, log=1.0)
 
 
 def test_weights_reject_infinite_coefficients():
     # at an infinite coefficient every level would be 0
-    for build in (lambda: WeightFunction((Term("log", 0.0, math.inf),)),
-                  lambda: WeightFunction((Term("f1", 0.0, math.nan),)),
+    for build in (lambda: WeightFunction(log=math.inf),
+                  lambda: WeightFunction(g0=math.nan),
                   lambda: Scaled(math.inf, Log()),
                   lambda: Scaled(1e300, Scaled(1e300, F1())),  # overflows to inf
                   lambda: KilledDriftSum(c=math.inf),
                   lambda: KilledDriftSum(atoms=((math.inf, 1.0),)),
+                  lambda: KilledDriftSum(atoms=((1e308, 1.0), (1e308, 1.0))),  # merged
                   lambda: parse_weight("scale:inf:log"),
                   lambda: parse_weight("sum:c=inf,g0=0,atoms="),
-                  lambda: parse_weight("sum:c=0,g0=1,atoms=infx1")):
+                  lambda: parse_weight("sum:c=0,g0=1,atoms=infx1"),
+                  lambda: parse_weight("sum:c=1,g0=0,atoms=1xinf"),  # an infinite rate
+                  lambda: SoftCap(math.inf)):
         with pytest.raises(ValueError, match="finite"):
             build()
-    assert Scaled(1e300, Scaled(1e8, F1())).terms[0].coeff == 1e308
+    assert Scaled(1e300, Scaled(1e8, F1())).g0 == 1e308
 
 
 def test_grammar_round_trip():
@@ -311,7 +315,8 @@ def test_grammar_round_trip():
 
 def test_grammar_errors():
     for bad in ("f2", "softcap:", "softcap:-1", "scale:2", "sum:c=1",
-                "sum:c=1,g0=0,atoms=1", "sum:c=0,g0=0,atoms=", "scale:x:f1"):
+                "sum:c=1,g0=0,atoms=1", "sum:c=0,g0=0,atoms=", "scale:x:f1",
+                "sum:c=1,g0=0,atoms=,cap=5", "sum:c=1,c=2,g0=0,atoms="):
         with pytest.raises(ValueError):
             parse_weight(bad)
 
@@ -324,6 +329,11 @@ def test_constructors_normalise():
     assert KilledDriftSum(atoms=((1.0, 0.5),)) == SoftCap(0.5)
     assert Scaled(2.0, KilledDriftSum(c=1.0, g0=0.5)) == KilledDriftSum(c=2.0, g0=1.0)
     assert parse_weight("scale:2:scale:3:log") == Scaled(6.0, Log())
+    # atoms run by descending tau whatever order they come in; equal taus merge
+    swapped = KilledDriftSum(c=1, atoms=((2, 0.5), (1, 1)))
+    assert swapped == KilledDriftSum(c=1, atoms=((1, 1), (2, 0.5)))
+    assert swapped.atoms == ((1.0, 1.0), (0.5, 2.0))
+    assert KilledDriftSum(atoms=((1.0, 2.0), (0.5, 1.0), (2.0, 2.0))).atoms == ((2.0, 3.0), (1.0, 0.5))
 
 
 def test_grammar_prints_normalised_form():
@@ -339,21 +349,30 @@ def test_grammar_prints_normalised_form():
     assert parse_weight(weight_grammar(g)) == g
 
 
-def test_grammar_refuses_unspellable_weights():
-    for terms in ((("f1", 0.0, 1.0), ("f0", 0.0, 1.0)),  # drift before killing
-                  (("f0", 0.0, 1.0), ("f0", 0.0, 2.0)),  # two killing terms
-                  (("f1", 3.0, 1.0),)):  # a parameter f1 does not have
-        g = WeightFunction(tuple(Term(*t) for t in terms))
-        with pytest.raises(ValueError):
-            weight_grammar(g)
+def test_grammar_spells_every_weight():
+    # weights a list of terms once built but the grammar could not spell:
+    # drift before killing, and a kind given twice
+    pairs = ((WeightFunction(g0=1.0, c=1.0), KilledDriftSum(c=1.0, g0=1.0)),
+             (parse_weight("sum:g0=1,atoms=,c=1"), KilledDriftSum(c=1.0, g0=1.0)),
+             (parse_weight("sum:c=0,g0=0,atoms=1x1;2x1"), parse_weight("scale:3:softcap:1")),
+             (KilledDriftSum(atoms=((2.0, 0.5), (1.0, 1.0))),
+              KilledDriftSum(atoms=((1.0, 1.0), (2.0, 0.5)))))
+    for g, same in pairs:
+        assert g == same and hash(g) == hash(same)
+        assert weight_grammar(g) == weight_grammar(same)
+        assert parse_weight(weight_grammar(g)) == g
+        for a, b in ((2.0, 0.3), (0.5, 0.9), (40.0, 1e-6)):
+            assert LevelFunction(g).eval(a, b) == LevelFunction(same).eval(a, b)
+    assert weight_grammar(parse_weight("sum:c=0,g0=0,atoms=1x1;2x1")) == "scale:3:softcap:1"
+    assert weight_grammar(KilledDriftSum(c=1.0, atoms=((2.0, 0.5), (1.0, 1.0)))) == \
+        "sum:c=1,g0=0,atoms=1x1;2x0.5"
 
 
 def test_term_table_calls_evaluators_through_the_module(monkeypatch):
     # rebinding level.eval_<kind> (as a tracer does) must reach every kind,
     # also for a LevelFunction built before the rebinding
     kinds = ("f0", "f1", "fhalf", "softcap", "log")
-    levels = [LevelFunction(WeightFunction((Term(k, 0.5 if k == "softcap" else 0.0, 2.0),)))
-              for k in kinds]
+    levels = [LevelFunction(Scaled(2.0, g)) for g in (F0(), F1(), FHalf(), SoftCap(0.5), Log())]
     calls = Counter()
     for k in kinds:
         original = getattr(level_module, f"eval_{k}")
@@ -374,6 +393,8 @@ def test_term_table_calls_evaluators_through_the_module(monkeypatch):
 
 _POSITIVE = st.floats(min_value=1e-3, max_value=1e3)
 _RATE = st.floats(min_value=0.1, max_value=10.0)
+# atom weights on a grid of 1/16, so atoms at one tau sum exactly in any order
+_GRID_WEIGHT = st.integers(1, 2 ** 14).map(lambda k: k / 16.0)
 
 # kind -> closed-form value and level, written out from the definitions
 _CLOSED = {
@@ -387,32 +408,61 @@ _CLOSED = {
 
 @st.composite
 def _weights(draw):
-    """A weight built by the constructors, its unscaled (kind, param, coeff)
-    terms, the scales wrapped around it (outermost first), and its terms
-    after scaling, all derived by hand."""
+    """A weight built by the constructors, a second spelling of it, its
+    unscaled (kind, param, coeff) parts in normal order, the scales wrapped
+    around it (outermost first), and its parts after scaling, all derived by
+    hand.  A sum's atoms come shuffled, its taus often repeated."""
     if draw(st.booleans()):
         kind = draw(st.sampled_from(sorted(_CLOSED)))
         if kind == "softcap":
             tau = draw(_RATE)
-            g, terms = SoftCap(tau), [("softcap", tau, 1.0)]
+            g, parts = SoftCap(tau), [("softcap", tau, 1.0)]
         else:
             g = {"f0": F0, "f1": F1, "fhalf": FHalf, "log": Log}[kind]()
-            terms = [(kind, 0.0, 1.0)]
+            parts = [(kind, 0.0, 1.0)]
+        other = parse_weight(kind if kind != "softcap" else f"softcap:{tau!r}")
     else:
         c = draw(st.just(0.0) | _POSITIVE)
         g0 = draw(st.just(0.0) | _POSITIVE)
-        atoms = draw(st.lists(st.tuples(_POSITIVE, _RATE), max_size=3))
+        atoms = draw(st.lists(st.tuples(_GRID_WEIGHT, st.sampled_from((0.5, 1.0, 2.0)) | _RATE),
+                              max_size=4))
         if c == g0 == 0.0 and not atoms:
             c = 1.0
-        g = KilledDriftSum(c=c, g0=g0, atoms=tuple(atoms))
-        terms = ([("f0", 0.0, c)] if c else []) + ([("f1", 0.0, g0)] if g0 else [])
-        terms += [("softcap", r, w) for w, r in atoms]
+        g = KilledDriftSum(c=c, g0=g0, atoms=tuple(draw(st.permutations(atoms))))
+        other = KilledDriftSum(c=c, g0=g0, atoms=tuple(draw(st.permutations(atoms))))
+        merged = Counter()
+        for w, r in atoms:
+            merged[r] += w
+        parts = ([("f0", 0.0, c)] if c else []) + ([("f1", 0.0, g0)] if g0 else [])
+        parts += [("softcap", r, merged[r]) for r in sorted(merged, reverse=True)]
     alphas = draw(st.lists(_POSITIVE, max_size=3))
-    scaled = terms
+    scaled = parts
     for alpha in reversed(alphas):
-        g = Scaled(alpha, g)
+        g, other = Scaled(alpha, g), Scaled(alpha, other)
         scaled = [(kind, p, alpha * coeff) for kind, p, coeff in scaled]
-    return g, terms, alphas, scaled
+    return g, other, parts, alphas, scaled
+
+
+def _normal_build(parts) -> WeightFunction:
+    """The weight whose fields are these normal-order parts, set by hand."""
+    fields = {{"f0": "c", "f1": "g0"}.get(kind, kind): coeff
+              for kind, _, coeff in parts if kind != "softcap"}
+    atoms = tuple((p, coeff) for kind, p, coeff in parts if kind == "softcap")
+    return WeightFunction(atoms=atoms, **fields)
+
+
+def _merges_into_sequential(build, g, other) -> bool:
+    """Shards of one stream under the two spellings merge into the frame a
+    sketch under g fed the whole stream makes."""
+    oracle = OracleHash(derive_seed(SEED, 7))
+    stream = [(0, 1.5), (1, 0.25), (2, 4.0), (0, 2.0)]
+    seq, left = build(LevelFunction(g), oracle), build(LevelFunction(g), oracle)
+    right = build(LevelFunction(other), oracle, FreshSource(oracle.seed, 2))
+    for i, (key, delta) in enumerate(stream):
+        seq.update(key, delta)
+        (left if i < 2 else right).update(key, delta)
+    left.merge_from(right)
+    return left.to_bytes() == seq.to_bytes()
 
 
 @settings(max_examples=300, deadline=None)
@@ -422,10 +472,13 @@ def _weights(draw):
                           st.floats(min_value=1e-6, max_value=1.0 - 1e-6)),
                 min_size=5, max_size=5))
 def test_weight_layer_properties(weight, z, pairs):
-    g, terms, alphas, scaled = weight
-    assert g.terms == tuple(scaled)
+    g, other, parts, alphas, scaled = weight
+    assert g == _normal_build(scaled)
+    assert g.atoms == tuple((p, coeff) for kind, p, coeff in scaled if kind == "softcap")
+    assert other == g and hash(other) == hash(g)
     assert parse_weight(weight_grammar(g)) == g
-    closed = sum(coeff * _CLOSED[k][0](p, z) for k, p, coeff in terms)
+    assert weight_grammar(other) == weight_grammar(g)
+    closed = sum(coeff * _CLOSED[k][0](p, z) for k, p, coeff in parts)
     for alpha in reversed(alphas):
         closed = alpha * closed
     assert weight_value(g, z) == pytest.approx(closed, rel=1e-15, abs=0.0)
@@ -434,8 +487,10 @@ def test_weight_layer_properties(weight, z, pairs):
     got = LevelFunction(g).eval(a, b)
     if len(levels) == 1:
         assert got == levels[0]
-    else:  # a sum reaches a no later than any of its terms alone
+    else:  # a sum reaches a no later than any of its parts alone
         assert got <= min(levels) * (1.0 + 1e-9)
+    assert _merges_into_sequential(GSampler, g, other)
+    assert _merges_into_sequential(lambda level, *rest: WorSampler(2, level, *rest), g, other)
 
 
 # --- the bound contract: record-only evaluation ------------------------------
@@ -455,11 +510,12 @@ _B = st.floats(2.0 ** -53, 1.0 - 2.0 ** -53, exclude_min=True, exclude_max=True)
 
 @st.composite
 def _sums(draw):
-    """A sum of two or more terms, 1 to 3 of them atoms; killing and drift
-    absent or in [0.1, 10]."""
+    """A sum of two or more parts, 1 to 3 of them atoms at distinct rates (atoms
+    at one rate merge into one part); killing and drift absent or in [0.1, 10]."""
     c, g0 = (draw(st.just(0.0) | st.floats(0.1, 10.0)) for _ in range(2))
     atoms = draw(st.lists(st.tuples(st.floats(0.1, 10.0), st.floats(0.2, 5.0)),
-                          min_size=1 if c or g0 else 2, max_size=3))
+                          min_size=1 if c or g0 else 2, max_size=3,
+                          unique_by=lambda atom: atom[1]))
     return KilledDriftSum(c=c, g0=g0, atoms=tuple(atoms))
 
 
