@@ -32,6 +32,7 @@ from .samplers import (
     deserialize,
     replay,
 )
-from .circuits import EdgeSampler, EdgeSamplerSpec, build_edge_sampler, edge_weight
+from .circuits import EdgeSampler, EdgeSamplerSpec, build_edge_sampler
+from .oracle import edge_weight
 
 __version__ = "0.1.0"

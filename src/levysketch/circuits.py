@@ -56,7 +56,6 @@ __all__ = [
     "EdgeSamplerSpec",
     "build_edge_sampler",
     "build_flat_circuit",
-    "edge_weight",
     "SALT_VERTEX_SQRT",
     "SALT_EDGE_SOFTCAP",
     "SALT_EDGE_LOG",
@@ -154,8 +153,15 @@ class Circuit:
         self.oracle = OracleHash()
         self._units: dict = {}  # G-gate id -> seed U under self.oracle
         self._out_state: dict = {}
+        self._is_fork = False
+
+    def _edit(self) -> None:
+        if self._is_fork:  # it shares its gates and wires with its template
+            raise ValueError("a fork cannot be built on; build the circuit it was forked from")
+        self._paths = None
 
     def add_gate(self, gate_id, gate: Gate, label=None) -> None:
+        self._edit()
         if gate_id in self.gates:
             raise ValueError(f"duplicate gate id {gate_id!r}")
         self.gates[gate_id] = gate
@@ -165,15 +171,14 @@ class Circuit:
             self.labels[gate_id] = label
         if isinstance(gate, OutputGate):
             self._out_state[gate_id] = (None, math.inf)
-        self._paths = None
 
     def add_wire(self, src, dst) -> None:
+        self._edit()
         for g in (src, dst):
             if g not in self.gates:
                 raise ValueError(f"wire references unknown gate {g!r}")
         self._succ[src].append(dst)
         self._pred[dst].append(src)
-        self._paths = None
 
     # -- validation ----------------------------------------------------------
 
@@ -238,11 +243,12 @@ class Circuit:
     def fork(self, oracle: OracleHash = OracleHash()) -> "Circuit":
         """A run of this circuit under `oracle`: the same gates and compiled
         paths, with gate seeds and output state (every output gate empty) of
-        its own.  The two share their gates and wires, so build a circuit
-        before forking it.  CircuitError if it breaks a structural rule."""
+        its own.  The two share their gates and wires, so a fork refuses
+        add_gate and add_wire.  CircuitError if it breaks a structural rule."""
         if self._paths is None:
             self.validate()
         twin = copy.copy(self)
+        twin._is_fork = True
         twin.oracle = oracle
         twin._units = {}
         twin._out_state = dict.fromkeys(self._out_state, (None, math.inf))
@@ -312,12 +318,6 @@ def build_flat_circuit(weights_by_key: dict[int, LevelFunction]) -> Circuit:
         c.add_wire(("g", key), "out")
     c.validate()
     return c
-
-
-def edge_weight(*masses: float) -> float:
-    """Closed-form edge weight log(1 + sum sqrt(x)) + 2(1 - exp(-sum x))."""
-    return (math.log1p(sum(math.sqrt(m) for m in masses))
-            - 2.0 * math.expm1(-sum(masses)))
 
 
 @dataclass(frozen=True)
@@ -421,12 +421,12 @@ class CircuitSketch:
     once or in turn; `fork(oracle)` starts another one from empty."""
 
     def __init__(self, circuit: Circuit, inputs: dict, output_id,
-                 oracle: OracleHash = OracleHash(), fresh: Optional[FreshSource] = None):
+                 oracle: OracleHash = OracleHash()):
         self.circuit = circuit.fork(oracle)
         self.inputs = inputs
         self.output_id = output_id
         self.oracle = oracle
-        self.fresh = fresh if fresh is not None else FreshSource(oracle.seed)
+        self.fresh = FreshSource(oracle.seed)
 
     def fork(self, oracle: OracleHash = OracleHash()) -> "CircuitSketch":
         """A sketch over the same compiled circuit and inputs, run under
@@ -447,8 +447,7 @@ class EdgeSampler(CircuitSketch):
     """The edge-sampling circuit as a sketch over vertex updates; an isolated
     vertex has no input gate, so its updates are checked and change nothing."""
 
-    def __init__(self, spec: EdgeSamplerSpec, oracle: OracleHash = OracleHash(),
-                 fresh: Optional[FreshSource] = None):
+    def __init__(self, spec: EdgeSamplerSpec, oracle: OracleHash = OracleHash()):
         circuit = build_edge_sampler(spec)
         inputs = {v: ("in", v) for v in spec.vertices if ("in", v) in circuit.gates}
-        super().__init__(circuit, inputs, "out", oracle, fresh)
+        super().__init__(circuit, inputs, "out", oracle)

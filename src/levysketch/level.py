@@ -53,13 +53,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, NamedTuple, Optional
 
-from scipy.special.cython_special import gammaincinv, ndtr
-
 from .numerics import (
     REL,
     first_true,
+    gammaincinv,
     inv_erf,
     meets_contract,
+    ndtr,
     poisson_tail,
     regularized_gamma_q,
     residual,

@@ -1,15 +1,16 @@
 """Special functions and monotone root finding under one stopping contract.
 
-Everything in this module is a pure function of its arguments.  The special
-functions are scipy's C kernels for the inverse error function and the
-regularized incomplete gamma ratios (the standard Temme/continued-fraction
-algorithms), called through ``scipy.special.cython_special``: the scalar
-entry points to the same C code that the ``scipy.special`` ufuncs wrap.  They
-take and return Python floats, and skip the ufunc dispatch that costs about
-1.3 us per scalar call, several times the kernel itself.  A test checks
-every routed function against its ufunc bit for bit, over a seeded
-log-uniform grid and the edges of the domain; others check them against
-direct quadrature, series summation and round trips.
+This is the only module that imports scipy.  Everything in it is a pure
+function of its arguments.  The special functions are scipy's C kernels,
+called through ``scipy.special.cython_special``: the scalar entry points to
+the same C code the ``scipy.special`` ufuncs wrap, which take and return
+Python floats and skip the ufunc dispatch (about 1.3 us per scalar call,
+several times the kernel itself).  ``erfinv``, ``gammaincc`` and ``gammainc``
+stand behind inv_erf, regularized_gamma_q and poisson_tail, which check
+their domain; ``gammaincinv``, ``ndtr`` and ``erf`` are re-exported as they
+are.  A test checks every routed kernel against its ufunc bit for bit, over
+a seeded log-uniform grid and the edges of the domain; others check them
+against direct quadrature, series summation and round trips.
 
 The root finder is the inverse for continuous functions, and REL, ABS and
 MAX_ITER are the one stopping contract those inverses meet.  A solve of
@@ -34,6 +35,7 @@ import math
 import struct
 from typing import Callable
 
+from scipy.special.cython_special import erf, gammaincinv, ndtr  # re-exported as they are
 from scipy.special.cython_special import erfinv as _erfinv
 from scipy.special.cython_special import gammainc as _gammainc
 from scipy.special.cython_special import gammaincc as _gammaincc
@@ -44,6 +46,9 @@ __all__ = [
     "MAX_ITER",
     "BracketError",
     "NoConvergenceError",
+    "erf",
+    "gammaincinv",
+    "ndtr",
     "inv_erf",
     "regularized_gamma_q",
     "poisson_tail",

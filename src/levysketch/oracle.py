@@ -3,9 +3,11 @@
 Everything the test suites compare against lives here: exact target
 distributions computed in closed form from the weight functions (never
 through the samplers being tested), the ordered without-replacement law,
-closed-form edge weights, and the two goodness-of-fit tests the library
-relies on (Pearson chi-square and one-sample Kolmogorov-Smirnov against an
-exponential).
+the closed-form edge weight `edge_weight` that the edge-sampling circuit
+targets, and the two goodness-of-fit tests the library relies on (Pearson
+chi-square and one-sample Kolmogorov-Smirnov against an exponential).  The
+ground truth imports no sketch code: only `level`, for the weight values,
+and `numerics`, for the chi-square quantile.
 
 Thresholds are one-sided critical values; a report passes iff its statistic
 is at or below its threshold.  Suites running many tests at once should
@@ -19,13 +21,12 @@ from dataclasses import dataclass
 from itertools import permutations
 from typing import Iterable, Mapping, Sequence
 
-from scipy.stats import chi2 as _chi2
-
-from .circuits import edge_weight
 from .level import WeightFunction, weight_value
+from .numerics import gammaincinv
 
 __all__ = [
     "ExactDistribution",
+    "edge_weight",
     "GofReport",
     "UndersampledError",
     "exact_distribution",
@@ -130,6 +131,12 @@ def exact_wor_distribution(x: Mapping, g: WeightFunction, k: int) -> dict:
     return out
 
 
+def edge_weight(*masses: float) -> float:
+    """Closed-form edge weight log(1 + sum sqrt(x)) + 2(1 - exp(-sum x))."""
+    return (math.log1p(sum(math.sqrt(m) for m in masses))
+            - 2.0 * math.expm1(-sum(masses)))
+
+
 def exact_edge_distribution(edges: Iterable[tuple], x: Mapping) -> ExactDistribution:
     """Edge sampled with probability proportional to edge_weight of its
     endpoint masses (missing vertices count as mass zero)."""
@@ -143,11 +150,13 @@ def exact_edge_distribution(edges: Iterable[tuple], x: Mapping) -> ExactDistribu
     return ExactDistribution(tuple(support), tuple(w / total for w in weights))
 
 
-def chi_square_gof(
-    counts: Mapping,
-    expected: ExactDistribution,
-    alpha: float = 0.01,
-) -> GofReport:
+def _chi_square_critical(alpha: float, dof: int) -> float:
+    # the (1 - alpha)-quantile, by the formula scipy.stats.chi2.ppf evaluates
+    return 2.0 * gammaincinv(dof / 2, 1.0 - alpha)
+
+
+def chi_square_gof(counts: Mapping, expected: ExactDistribution,
+                   alpha: float = 0.01) -> GofReport:
     """Pearson chi-square of observed counts against an exact distribution.
 
     Counts on identifiers outside the support make the statistic infinite
@@ -165,14 +174,11 @@ def chi_square_gof(
     stray = sum(c for ident, c in counts.items()
                 if ident not in set(expected.support))
     dof = len(expected.support) - 1
-    threshold = float(_chi2.ppf(1.0 - alpha, dof))
+    threshold = _chi_square_critical(alpha, dof)
     if stray > 0:
         return GofReport(math.inf, threshold, dof, False, n)
-    stat = 0.0
-    for ident, p in zip(expected.support, expected.probs):
-        exp_count = n * p
-        obs = counts.get(ident, 0)
-        stat += (obs - exp_count) ** 2 / exp_count
+    stat = sum((counts.get(ident, 0) - n * p) ** 2 / (n * p)
+               for ident, p in zip(expected.support, expected.probs))
     return GofReport(stat, threshold, dof, stat <= threshold, n)
 
 
@@ -181,11 +187,8 @@ def _ks_critical(alpha: float, n: int) -> float:
     return math.sqrt(-0.5 * math.log(alpha / 2.0)) / math.sqrt(n)
 
 
-def ks_test_exponential(
-    samples: Sequence[float],
-    rate: float,
-    alpha: float = 0.01,
-) -> GofReport:
+def ks_test_exponential(samples: Sequence[float], rate: float,
+                        alpha: float = 0.01) -> GofReport:
     """One-sample Kolmogorov-Smirnov test against Exp(rate)."""
     if not (rate > 0):
         raise ValueError(f"rate must be positive, got {rate}")

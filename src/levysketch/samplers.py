@@ -417,13 +417,10 @@ class KParetoSampler:
     def update(self, key: int, delta: float) -> None:
         _frontier_insert(self, key, delta)
 
-    def query(self, level: LevelFunction, k: Optional[int] = None) -> list[int]:
+    def query(self, level: LevelFunction) -> list[int]:
         """The k keys with smallest level value, ascending; fewer if fewer
         keys were seen."""
-        k = self.k if k is None else k
-        if not 1 <= k <= self.k:
-            raise ValueError(f"query k={k} is outside [1, {self.k}], the sketch's capacity")
-        return [key for _, key in self.frontier.top(level, k)]
+        return [key for _, key in self.frontier.top(level, self.k)]
 
     def merge_from(self, other: "KParetoSampler") -> None:
         _check_mergeable(self, other)

@@ -22,10 +22,7 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Optional
 
-from scipy.special import erf
-
-from .circuits import CircuitSketch, EdgeSampler, EdgeSamplerSpec, build_flat_circuit, \
-    edge_weight
+from .circuits import CircuitSketch, EdgeSampler, EdgeSamplerSpec, build_flat_circuit
 from .level import (
     CATALOGUE,
     F0,
@@ -39,10 +36,11 @@ from .level import (
     weight_grammar,
     weight_value,
 )
-from .numerics import poisson_tail, regularized_gamma_q
+from .numerics import erf, poisson_tail, regularized_gamma_q
 from .oracle import (
     ExactDistribution,
     chi_square_gof,
+    edge_weight,
     exact_distribution,
     exact_edge_distribution,
     exact_wor_distribution,
@@ -55,6 +53,8 @@ __all__ = ["VerifyParams", "FULL_PARAMS", "QUICK_PARAMS", "CheckResult",
            "FrontierStats", "frontier_size_stats", "SUITES", "run_suite",
            "suite_names"]
 
+SIGNIFICANCE = 0.01  # each suite's family-wise level, Bonferroni-split across its tests
+CALIBRATION_DRAWS = 1_000  # draws per calibration rep, at both sample-size settings
 _LAMBDAS = (0.25, 1.0, 4.0)
 _SUMS = (KilledDriftSum(c=1.0, g0=1.0), KilledDriftSum(c=1.0, g0=1.0, atoms=((2.0, 0.5),)))
 _STREAMS = {
@@ -67,10 +67,8 @@ _STREAMS = {
 class VerifyParams:
     """Sample sizes for the suites; the defaults are the acceptance bar."""
 
-    significance: float = 0.01
     transform_draws: int = 100_000
     calibration_reps: int = 100
-    calibration_draws: int = 1_000
     residual_points: int = 10_000
     sampler_reps: int = 100_000
     universality_streams: int = 10_000
@@ -93,7 +91,6 @@ FULL_PARAMS = VerifyParams()
 QUICK_PARAMS = VerifyParams(
     transform_draws=2_000,
     calibration_reps=10,
-    calibration_draws=1_000,
     residual_points=200,
     sampler_reps=2_000,
     universality_streams=50,
@@ -155,7 +152,7 @@ def _transform_combos() -> list[tuple]:
 def check_level_transformation(seed: bytes, params: VerifyParams) -> list[CheckResult]:
     """Draws of l_G(Y, U) must be Exp(G(lambda)) for every catalogue weight."""
     combos = _transform_combos()
-    alpha = params.significance / len(combos)
+    alpha = SIGNIFICANCE / len(combos)
     results = []
     for i, (g, lam) in enumerate(combos):
         samples = _transform_samples(LevelFunction(g), lam,
@@ -172,15 +169,14 @@ def check_level_calibration(seed: bytes, params: VerifyParams) -> list[CheckResu
     must pass at least 95% of the time; the KS level does not depend on the
     sample size, so this calibrates the suite's false-failure rate."""
     combos = _transform_combos()
-    alpha = params.significance / len(combos)
+    alpha = SIGNIFICANCE / len(combos)
     passes = 0
     for r in range(params.calibration_reps):
         rep_seed = derive_seed(seed, 10_000 + r)
         ok = True
         for i, (g, lam) in enumerate(combos):
-            samples = _transform_samples(LevelFunction(g), lam,
-                                         derive_seed(rep_seed, i),
-                                         params.calibration_draws)
+            samples = _transform_samples(LevelFunction(g), lam, derive_seed(rep_seed, i),
+                                         CALIBRATION_DRAWS)
             if not ks_test_exponential(samples, weight_value(g, lam), alpha).passed:
                 ok = False
                 break
@@ -209,7 +205,7 @@ def check_level_residuals(seed: bytes, params: VerifyParams) -> list[CheckResult
         worst_log = max(worst_log, abs(regularized_gamma_q(w, a) - b))
         h = eval_fhalf(a, b)
         worst_roundtrip = max(worst_roundtrip,
-                              abs(float(erf(h / (2.0 * math.sqrt(a)))) - b))
+                              abs(erf(h / (2.0 * math.sqrt(a))) - b))
     return [
         CheckResult("level/residual/softcap", worst_softcap <= 1e-9,
                     worst_softcap, 1e-9),
@@ -229,7 +225,7 @@ def check_sampler_distributions(seed: bytes, params: VerifyParams) -> list[Check
     """Sampled keys must follow G(x(v))/G(x) exactly (chi-square), and the
     stored value must be Exp(G(x)) (KS), per weight function and stream."""
     combos = [(g, name) for g in CATALOGUE for name in _STREAMS]
-    alpha = params.significance / len(combos)
+    alpha = SIGNIFICANCE / len(combos)
     results = []
     for i, (g, stream_name) in enumerate(combos):
         stream = _STREAMS[stream_name]
@@ -326,7 +322,7 @@ def check_wor_law(seed: bytes, params: VerifyParams) -> list[CheckResult]:
     x = {1: 1.0, 2: 2.0, 3: 3.0}
     k = 2
     weights = (F1(), FHalf())
-    alpha = params.significance / len(weights)
+    alpha = SIGNIFICANCE / len(weights)
     results = []
     for gi, g in enumerate(weights):
         level = LevelFunction(g)
@@ -340,7 +336,7 @@ def check_wor_law(seed: bytes, params: VerifyParams) -> list[CheckResult]:
             ordered = tuple(wor.sample_ordered())
             counts[ordered] += 1
             reference = [key for _, key in kpareto.frontier.ranked(level)[:k]]
-            if list(ordered) != reference or kpareto.query(level, k) != reference:
+            if list(ordered) != reference or kpareto.query(level) != reference:
                 mismatches += 1
         exact = exact_wor_distribution(x, g, k)
         support = tuple(sorted(exact))
@@ -365,7 +361,7 @@ def check_edge_sampling(seed: bytes, params: VerifyParams) -> list[CheckResult]:
     exact = exact_edge_distribution(_TRIANGLE.edges, _TRIANGLE_MASSES)
     counts, values = _tally(replay(EdgeSampler(_TRIANGLE).fork,
                                    sorted(_TRIANGLE_MASSES.items()), params.edge_reps, seed))
-    alpha = params.significance / 2
+    alpha = SIGNIFICANCE / 2
     chi = chi_square_gof(counts, exact, alpha)
     total_rate = math.fsum(
         edge_weight(*(float(_TRIANGLE_MASSES[v]) for v in e))
@@ -386,7 +382,7 @@ def check_hyperedge_sampling(seed: bytes, params: VerifyParams) -> list[CheckRes
     exact = exact_edge_distribution(spec.edges, masses)
     counts, _ = _tally(replay(EdgeSampler(spec).fork, sorted(masses.items()),
                               params.hyperedge_reps, seed))
-    chi = chi_square_gof(counts, exact, params.significance)
+    chi = chi_square_gof(counts, exact, SIGNIFICANCE)
     return [CheckResult("circuits/hyperedge-law/arity-3", chi.passed,
                         chi.statistic, chi.threshold)]
 
@@ -426,7 +422,7 @@ def check_heterogeneous_flat(seed: bytes, params: VerifyParams) -> list[CheckRes
     inputs = {key: ("in", key) for key in weights}
     counts, _ = _tally(replay(partial(CircuitSketch, circuit, inputs, "out"),
                               sorted(masses.items()), params.hetero_reps, seed))
-    chi = chi_square_gof(counts, exact, params.significance)
+    chi = chi_square_gof(counts, exact, SIGNIFICANCE)
     return [CheckResult("circuits/heterogeneous-flat", chi.passed,
                         chi.statistic, chi.threshold)]
 

@@ -22,11 +22,11 @@ from levysketch.circuits import (
     ScalarGate,
     build_edge_sampler,
     build_flat_circuit,
-    edge_weight,
 )
 from levysketch.level import F0, F1, FHalf, Log, LevelFunction, KilledDriftSum, SoftCap
 from levysketch.oracle import (
     chi_square_gof,
+    edge_weight,
     exact_edge_distribution,
     ExactDistribution,
     ks_test_exponential,
@@ -561,6 +561,36 @@ def test_sketch_forks_replay_one_compiled_circuit():
             assert fork.query() == built.query()
         assert fork.fresh.counter == built.fresh.counter
     assert template.query() == before
+
+
+def test_a_fork_refuses_to_be_built_on():
+    # a fork shares its gates and wires with its template, so an edit made
+    # through it would reach the template's gates but not its compiled paths
+    template = build_flat_circuit({1: F1_LEVEL, 2: F1_LEVEL})
+    gates, labels = dict(template.gates), dict(template.labels)
+    wires = ({g: list(w) for g, w in template._succ.items()},
+             {g: list(w) for g, w in template._pred.items()})
+
+    def run(circuit):
+        fresh = FreshSource(circuit.oracle.seed)
+        for key, delta in ((1, 2.0), (2, 0.5), (1, 1.0)):
+            circuit.update(("in", key), delta, fresh)
+        return circuit.output("out")
+
+    before = run(template.fork(_oracle(3)))
+    fork = template.fork(_oracle(4))
+    for circuit in (fork, fork.fork(_oracle(5))):
+        for edit in (lambda: circuit.add_gate("x", OutputGate()),
+                     lambda: circuit.add_gate(("in", 3), InputGate()),
+                     lambda: circuit.add_wire(("in", 3), "x"),
+                     lambda: circuit.add_wire(("in", 1), "out")):
+            with pytest.raises(ValueError, match="fork"):
+                edit()
+    assert template.gates == gates and template.labels == labels
+    assert (template._succ, template._pred) == wires
+    assert template.output_gate_ids() == ["out"]
+    assert run(template.fork(_oracle(3))) == before
+    assert run(fork) == run(template.fork(_oracle(4)))
 
 
 def test_scalar_gate_rejects_non_finite_alpha():

@@ -1,15 +1,22 @@
 """Special functions against independent oracles, and solver behavior."""
 
+import ast
 import math
 import random
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 import scipy.special
+import scipy.stats
 from scipy.integrate import quad
 from scipy.special import erf as scipy_erf
 
-from levysketch import level
+import levysketch
+from levysketch import level, numerics, oracle, verify
 from levysketch.numerics import (
     MAX_ITER,
     BracketError,
@@ -183,14 +190,68 @@ def test_kernels_equal_the_ufuncs_bit_for_bit():
                    != _bits(float(scipy.special.gammaincc(s, x)))]
     mismatches += [("poisson_tail", k, x) for k, x in tails
                    if _bits(poisson_tail(k, x)) != _bits(float(scipy.special.gammainc(k, x)))]
+
+    # ndtr and erf on both signs, from subnormal to saturated; 0.0 == -0.0
+    # and nan != nan, so these two compare bits
+    xs = [_log_uniform(rng, 1e-300, 40.0) for _ in range(n // 2)]
+    xs += [x for x in _EDGE_X + (38.4, 8.3, 6.0, 1e-8, math.nan)] + [-0.0]
+    xs += [-x for x in xs]
+    mismatches += [(name, x) for name, ours, ufunc in (
+                       ("ndtr", numerics.ndtr, scipy.special.ndtr),
+                       ("erf", numerics.erf, scipy.special.erf))
+                   for x in xs if _bits(ours(x)) != _bits(float(ufunc(x)))]
+
+    # oracle's chi-square threshold at verify's Bonferroni levels, the
+    # benchmark's 1e-6 and the edge 0.5, against scipy.stats.chi2.ppf
+    alphas = np.array([verify.SIGNIFICANCE / m for m in range(1, 21)] + [1e-6, 0.5])
+    dofs = np.arange(1, 1001)
+    ppf = scipy.stats.chi2.ppf(1.0 - alphas[:, None], dofs[None, :])
+    mismatches += [("chi2.ppf", float(alpha), int(dof))
+                   for alpha, row in zip(alphas, ppf) for dof, want in zip(dofs, row)
+                   if _bits(oracle._chi_square_critical(float(alpha), int(dof)))
+                   != _bits(float(want))]
     assert mismatches == []
-    assert min(len(bs), len(pairs), len(tails), len(inverses)) >= 20_000
+    assert min(len(bs), len(pairs), len(tails), len(inverses), len(xs), ppf.size) >= 20_000
 
 
 def test_kernels_return_python_floats():
     for value in (inv_erf(0.5), level.gammaincinv(7, 0.5), regularized_gamma_q(2, 1.0),
-                  poisson_tail(2**64 + 7, 1.0)):
+                  poisson_tail(2**64 + 7, 1.0), numerics.ndtr(-1.0), numerics.erf(0.5),
+                  oracle._chi_square_critical(0.01, 3)):
         assert type(value) is float
+
+
+def _imports(path: Path) -> set[str]:
+    """The modules a source file imports, package-relative ones by bare name."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            if node.module is None:  # from . import x
+                names.update(alias.name for alias in node.names)
+            else:
+                names.add(node.module)
+    return names
+
+
+def test_numerics_is_the_only_scipy_client_and_oracle_imports_no_sketch():
+    package = Path(numerics.__file__).parent
+    imports = {path.name: _imports(path) for path in package.glob("*.py")}
+    assert {name for name, mods in imports.items()
+            if any(m == "scipy" or m.startswith("scipy.") for m in mods)} == {"numerics.py"}
+    sketch_code = {"circuits", "samplers", "levysketch.circuits", "levysketch.samplers"}
+    assert imports["oracle.py"] & sketch_code == set()
+    assert {"level", "numerics"} <= imports["oracle.py"]
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import levysketch.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))")
+    root = str(Path(levysketch.__file__).parent.parent)
+    out = subprocess.run([sys.executable, "-c", code, root], check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_solver_identity():

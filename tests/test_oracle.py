@@ -5,12 +5,12 @@ import math
 import numpy as np
 import pytest
 
-from levysketch.circuits import edge_weight
 from levysketch.level import F0, F1, FHalf, Log, SoftCap
 from levysketch.oracle import (
     ExactDistribution,
     UndersampledError,
     chi_square_gof,
+    edge_weight,
     exact_distribution,
     exact_edge_distribution,
     exact_wor_distribution,

