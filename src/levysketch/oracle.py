@@ -118,14 +118,12 @@ def exact_wor_distribution(x: Mapping, g: WeightFunction, k: int) -> dict:
             f"enumeration capped at support <= {_WOR_MAX_SUPPORT}, k <= {_WOR_MAX_K}")
     support = sorted(x)
     weights = {key: weight_value(g, x[key]) for key in support}
-    total = math.fsum(weights.values())
     out = {}
     for tup in permutations(support, k):
         p = 1.0
-        remaining = total
-        for key in tup:
-            p *= weights[key] / remaining
-            remaining -= weights[key]
+        for i, key in enumerate(tup):
+            # the weight left, summed afresh: a running difference cancels
+            p *= weights[key] / math.fsum(weights[u] for u in support if u not in tup[:i])
         out[tup] = p
     assert abs(math.fsum(out.values()) - 1.0) <= 1e-12
     return out
@@ -171,8 +169,8 @@ def chi_square_gof(counts: Mapping, expected: ExactDistribution,
     if min_cell < 5:
         raise UndersampledError(
             f"smallest expected cell is {min_cell:.2f}, below 5")
-    stray = sum(c for ident, c in counts.items()
-                if ident not in set(expected.support))
+    support = set(expected.support)
+    stray = sum(c for ident, c in counts.items() if ident not in support)
     dof = len(expected.support) - 1
     threshold = _chi_square_critical(alpha, dof)
     if stray > 0:

@@ -87,6 +87,18 @@ def test_wor_marginal_consistency():
         assert marginal == pytest.approx(p, rel=1e-10)
 
 
+@pytest.mark.parametrize("small", [1e-17, 1e-15])
+def test_wor_keeps_small_weights(small):
+    # the weight left after the heavy key is summed afresh, not as
+    # total - heavy: that difference was 0 at 1e-17 (ZeroDivisionError), and
+    # at 1e-15 it gave (1, 2, 3) 0.5012 and a law summing to 1.0024
+    w = exact_wor_distribution({1: 1.0, 2: small, 3: small}, F1(), 3)
+    assert w[(1, 2, 3)] == w[(1, 3, 2)] == pytest.approx(0.5, rel=1e-14)
+    assert w[(2, 1, 3)] == w[(3, 1, 2)] == pytest.approx(small, rel=1e-14)
+    assert w[(2, 3, 1)] == pytest.approx(small * small, rel=1e-14)
+    assert math.fsum(w.values()) == pytest.approx(1.0, abs=1e-15)
+
+
 def test_wor_caps():
     x = {i: 1.0 for i in range(9)}
     with pytest.raises(ValueError):
