@@ -26,11 +26,11 @@ from .numerics import gammaincinv
 
 __all__ = [
     "ExactDistribution",
-    "edge_weight",
     "GofReport",
     "UndersampledError",
     "exact_distribution",
     "exact_wor_distribution",
+    "edge_weight",
     "exact_edge_distribution",
     "chi_square_gof",
     "ks_test_exponential",
