@@ -15,7 +15,6 @@ import scipy.stats
 from scipy.integrate import quad
 from scipy.special import erf as scipy_erf
 
-import levysketch
 from levysketch import level, numerics, oracle, verify
 from levysketch.numerics import (
     MAX_ITER,
@@ -194,7 +193,7 @@ def test_kernels_equal_the_ufuncs_bit_for_bit():
     # ndtr and erf on both signs, from subnormal to saturated; 0.0 == -0.0
     # and nan != nan, so these two compare bits
     xs = [_log_uniform(rng, 1e-300, 40.0) for _ in range(n // 2)]
-    xs += [x for x in _EDGE_X + (38.4, 8.3, 6.0, 1e-8, math.nan)] + [-0.0]
+    xs += [*_EDGE_X, 38.4, 8.3, 6.0, 1e-8, math.nan, -0.0]
     xs += [-x for x in xs]
     mismatches += [(name, x) for name, ours, ufunc in (
                        ("ndtr", numerics.ndtr, scipy.special.ndtr),
@@ -248,7 +247,7 @@ def test_numerics_is_the_only_scipy_client_and_oracle_imports_no_sketch():
 def test_cli_import_leaves_scipy_stats_unloaded():
     code = ("import sys; sys.path.insert(0, sys.argv[1]); import levysketch.cli; "
             "print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))")
-    root = str(Path(levysketch.__file__).parent.parent)
+    root = str(Path(numerics.__file__).parent.parent)
     out = subprocess.run([sys.executable, "-c", code, root], check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"
