@@ -21,6 +21,14 @@ update runs them.  A run owns its oracle, the G-gate seeds drawn under it
 and the output gates' state; only the last carries information between
 updates, so a whole circuit costs two words per output gate.
 
+Most candidates cannot change their output, and a path is rejected before
+any level.  Every gate is monotone in its input, so once a path has
+rejected three values under its output's current value, the run inverts
+the path into a threshold on its starting value; a value above it draws
+its fresh exponential and skips every gate.  The threshold, certified by
+one forward value, and a softcap gate's last (jump count, level) live in
+the run, next to the seeds; see Circuit.update.
+
 The stock construction here is the edge sampler: given a fixed (hyper)graph
 with vertex masses fed by the update stream, it samples an edge {u, v} with
 probability proportional to
@@ -130,6 +138,19 @@ class CircuitError(ValueError):
         self.reason = reason
 
 
+# A path's threshold is computed once it has rejected this many values under
+# one output value, not each time that value changes: most forks of a small
+# circuit run a few updates, and eager thresholds cost them more than the
+# evaluations they save.
+_REJECTIONS_BEFORE_CUT = 3
+
+
+def _no_cuts(paths: int) -> tuple[list, list, list]:
+    """Per path number: its threshold y* (inf until computed), the output
+    value that y* and the rejection count are for, and that count."""
+    return [math.inf] * paths, [None] * paths, [0] * paths
+
+
 class Circuit:
     """A gate DAG run as one gate path per input wire, plus one run's state:
     its oracle, the G-gate seeds drawn under it and the output gates' pairs.
@@ -147,11 +168,14 @@ class Circuit:
         self.labels: dict = {}
         self._succ: dict = {}
         self._pred: dict = {}
-        # input gate -> [(gates passed, output gate, label reported, index of
-        # the last G-gate passed, product of the alphas after it)] per wire
+        # input gate -> [(path number, gates passed, output gate, label
+        # reported, index of the last G-gate passed, product of the alphas
+        # after it)] per wire
         self._paths: Optional[dict] = None
         self.oracle = OracleHash()
         self._units: dict = {}  # G-gate id -> seed U under self.oracle
+        self._memo: dict = {}  # G-gate id -> (step of a, level) last solved
+        self._cuts = _no_cuts(0)
         self._out_state: dict = {}
         self._is_fork = False
 
@@ -208,7 +232,7 @@ class Circuit:
                 raise CircuitError(gate_id, "gate lies on a cycle")
         # with no cycle every scalar and G-gate chain ends at an output gate,
         # so only an input gate without wires reaches none
-        paths = {}
+        paths, number = {}, 0
         for gate_id, gate in self.gates.items():
             if not isinstance(gate, InputGate):
                 continue
@@ -221,9 +245,11 @@ class Circuit:
                 last_g = max((i for i, (_, gate) in enumerate(passed)
                               if isinstance(gate, GGate)), default=-1)
                 scale = math.prod(gate.alpha for _, gate in passed[last_g + 1:])
-                paths[gate_id].append((passed, chain[-1], self.labels.get(chain[-2], chain[-2]),
-                                       last_g, scale))
+                paths[gate_id].append((number, passed, chain[-1],
+                                       self.labels.get(chain[-2], chain[-2]), last_g, scale))
+                number += 1
         self._paths = paths
+        self._cuts = _no_cuts(number)
         return None
 
     def _chain(self, gate_id) -> list:
@@ -250,19 +276,25 @@ class Circuit:
         twin = copy.copy(self)
         twin._is_fork = True
         twin.oracle = oracle
-        twin._units = {}
+        twin._units, twin._memo, twin._cuts = {}, {}, _no_cuts(len(self._cuts[0]))
         twin._out_state = dict.fromkeys(self._out_state, (None, math.inf))
         return twin
 
     def update(self, input_gate, delta: float, rng: FreshSource) -> None:
         """Process one update arriving at an input gate.
 
-        Each outgoing wire, in declaration order, draws Exp(1)/delta and
-        carries it along its path to its output gate; the path's last G-gate,
-        bounded by the output's value times the alphas after it, solves only
-        for a value that can change the output.  G-gate seeds come from this
-        run's oracle.  Only output-gate state survives.  ValueError unless
-        0 < delta < inf; CircuitError if the circuit breaks a structural rule.
+        Each outgoing wire, in declaration order, draws Exp(1)/delta (the
+        least positive double where that underflows to 0) and carries it
+        along its path to its output gate.  A path whose last G-gate has
+        rejected three values under the output's current value gets a
+        threshold y* on the starting value (see _cut); a value above it is
+        rejected before any gate.  Otherwise the path's last G-gate, bounded
+        by the output's value times the alphas after it, solves only for a
+        value that can change the output, and a softcap gate whose jump
+        count repeats reuses its last level.  G-gate seeds come from this
+        run's oracle.  Only output-gate state carries information between
+        updates.  ValueError unless 0 < delta < inf; CircuitError if the
+        circuit breaks a structural rule.
         """
         if self._paths is None:
             self.validate()
@@ -272,23 +304,72 @@ class Circuit:
         if not (0 < delta < math.inf):
             raise ValueError(f"delta must be positive and finite, got {delta}")
 
-        units = self._units
-        for passed, out_id, label, last_g, scale in paths:
-            value = fresh_exp(rng) / delta
+        units, memo, out_state = self._units, self._memo, self._out_state
+        cut_y, cut_h, cut_n = self._cuts
+        for number, passed, out_id, label, last_g, scale in paths:
+            value = fresh_exp(rng) / delta or 5e-324
+            ident, h_star = out_state[out_id]
+            if value > cut_y[number] and cut_h[number] == h_star:
+                continue
             for i, (gate_id, gate) in enumerate(passed):
                 if isinstance(gate, ScalarGate):
                     value /= gate.alpha
-                else:
-                    u = units.get(gate_id)
-                    if u is None:
-                        u = units[gate_id] = gate.unit(self.oracle)
-                    bound = self._out_state[out_id][1] * scale if i == last_g else math.inf
-                    value = gate.level.eval(value, u, bound)
-            ident, h_star = self._out_state[out_id]
+                    continue
+                u = units.get(gate_id)
+                if u is None:
+                    u = units[gate_id] = gate.unit(self.oracle)
+                step = gate.level.step
+                key = step(value) if step is not None else None
+                if key is not None:
+                    last = memo.get(gate_id)
+                    if last is not None and last[0] == key:
+                        value = last[1]
+                        continue
+                value = gate.level.eval(value, u, h_star * scale if i == last_g else math.inf)
+                if key is not None and value < math.inf:
+                    memo[gate_id] = (key, value)
             # the smaller (value, identifier) pair, as the samplers keep it;
             # the first arrival always, even at inf
             if ident is None or value < h_star or (value == h_star and label < ident):
-                self._out_state[out_id] = (label, value)
+                out_state[out_id] = (label, value)
+            elif cut_h[number] != h_star:
+                cut_y[number], cut_h[number], cut_n[number] = math.inf, h_star, 1
+            else:
+                cut_n[number] += 1
+                if cut_n[number] == _REJECTIONS_BEFORE_CUT:
+                    cut_y[number] = self._cut(passed, last_g, h_star * scale)
+
+    def _cut(self, passed: tuple, last_g: int, bound: float) -> float:
+        """The least start value y* found past which the path's last G-gate
+        rejects under bound, or inf.  The gate's level gives an a* (see
+        LevelFunction.cut); scalar gates before it multiply back by alpha,
+        fhalf gates invert their level; any other gate before it gives inf.
+        One value, y* pushed forward along the path as update pushes it,
+        must pass LevelFunction.certifies.  Every gate before the last is
+        monotone in its input to the last bit, so every value above y*
+        reaches the last G-gate at or past that one and is rejected there:
+        skipping the path changes no output.  The walks that counted the
+        path's rejections drew its seeds."""
+        if last_g < 0 or not bound < math.inf:
+            return math.inf
+        units = self._units
+        last_id, last = passed[last_g]
+        y = last.level.cut(units[last_id], bound)
+        for gate_id, gate in reversed(passed[:last_g]):
+            y = (y * gate.alpha if isinstance(gate, ScalarGate)
+                 else gate.level.unlevel(y, units[gate_id]))
+        y = max(y, 5e-324)  # the least start value update passes on
+        if not y < math.inf:
+            return math.inf
+        a = y
+        for gate_id, gate in passed[:last_g]:
+            if isinstance(gate, ScalarGate):
+                a /= gate.alpha
+            elif a > 0.0:
+                a = gate.level.eval(a, units[gate_id])
+            else:  # a scalar gate underflowed: no G-gate takes 0
+                return math.inf
+        return y if last.level.certifies(a, units[last_id], bound) else math.inf
 
     def output(self, output_gate) -> Optional[tuple[object, float]]:
         """The stored (identifier, value) pair of an output gate, if any."""

@@ -51,12 +51,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from typing import Callable, NamedTuple, Optional
 
 from .numerics import (
     REL,
     first_true,
+    gammainccinv,
     gammaincinv,
+    gdtrib,
     inv_erf,
     meets_contract,
     ndtr,
@@ -97,6 +100,12 @@ class _Kind(NamedTuple):
     param_name: str = ""  # set when the grammar spells "<kind>:<param>"
     # (param, a, w) -> the increasing function of w whose inverse at b is the level
     forward: Optional[Callable[[float, float, float], float]] = None
+    # (param, w, target) -> an a past which forward(param, a, w) < target, uncertified
+    reject: Optional[Callable[[float, float, float], float]] = None
+    # (param, level, b) -> the a whose level at b is `level`, to rounding
+    inverse: Optional[Callable[[float, float, float], float]] = None
+    # (param, a) -> the step of a the level at a given b is constant on, or None
+    step: Optional[Callable[[float, float], Optional[int]]] = None
 
 
 # Each row reaches eval_<kind> through the module globals at call time, so a
@@ -104,13 +113,18 @@ class _Kind(NamedTuple):
 _KINDS: dict[str, _Kind] = {
     "f0": _Kind(lambda p, z: 1.0 if z > 0 else 0.0, lambda p, a, b: eval_f0(a, b)),
     "f1": _Kind(lambda p, z: z, lambda p, a, b: eval_f1(a, b)),
-    "fhalf": _Kind(lambda p, z: math.sqrt(z), lambda p, a, b: eval_fhalf(a, b)),
+    "fhalf": _Kind(lambda p, z: math.sqrt(z), lambda p, a, b: eval_fhalf(a, b),
+                   inverse=lambda p, level, b: _square(level / (2.0 * inv_erf(b)))),
     "softcap": _Kind(lambda p, z: -math.expm1(-p * z),
                      lambda p, a, b: eval_softcap(p, a, b), "tau",
                      # min(): ceil(inf) raises; a smaller count only errs toward solving
-                     lambda p, a, w: poisson_tail(max(math.ceil(min(a / p, _CENTRED)), 1), w)),
+                     lambda p, a, w: poisson_tail(max(math.ceil(min(a / p, _CENTRED)), 1), w),
+                     reject=lambda p, w, target: (_fewest_jumps(w, target) - 1) * p,
+                     step=lambda p, a: (max(math.ceil(a / p), 1)
+                                        if 0.0 < a and a / p <= _CENTRED else None)),
     "log": _Kind(lambda p, z: math.log1p(z), lambda p, a, b: eval_log(a, b),
-                 forward=lambda p, a, w: regularized_gamma_q(w, a)),
+                 forward=lambda p, a, w: regularized_gamma_q(w, a),
+                 reject=lambda p, w, target: gammainccinv(w, target)),
 }
 
 
@@ -306,6 +320,41 @@ def _above(forward, param, coeff, a, b, bound) -> bool:
     return forward(param, a, w) < b - 2.0 * residual(b)
 
 
+# The certificate's margin on one forward value.  It covers the forward
+# kernels' own defect from monotone: gammaincc(w, a) rises by up to 1.5e-11
+# relative on one-ulp steps up in a, and where it is at least 1e-20, below
+# any target a seed sets, a test bounds its rise below SLACK / 10.
+SLACK = 1e-9
+
+
+def _test_point(coeff: float, b: float, bound: float) -> tuple[float, float]:
+    """The (w, target) of _above's forward test at b under bound."""
+    w = coeff * bound
+    return w + 1e3 * stop_width(w), b - 2.0 * residual(b)
+
+
+def _fewest_jumps(w: float, target: float) -> float:
+    """The least count k with poisson_tail(k, w) < target, stepped to from
+    the shape gdtrib(1, target, w) at which the gamma tail meets target;
+    inf past 2^52 jumps or where eight steps do not settle it."""
+    shape = gdtrib(1.0, target, w)
+    if not 0.0 < shape < 2.0 ** 52:  # nan too
+        return math.inf
+    k = max(math.ceil(shape), 1)
+    for _ in range(8):
+        if poisson_tail(k, w) >= target:
+            k += 1
+        elif k > 1 and poisson_tail(k - 1, w) < target:
+            k -= 1
+        else:
+            return k
+    return math.inf
+
+
+def _square(x: float) -> float:
+    return x * x  # inf past the range, where x ** 2 raises
+
+
 class _Costly(Exception):
     """A count sum that would take more than its budget of terms."""
 
@@ -450,7 +499,11 @@ class LevelFunction:
     def __init__(self, g: WeightFunction):
         self.weight = g
         (kind, param, coeff), *more = _parts(g)
-        self._part = (_KINDS[kind].level, _KINDS[kind].forward, param, coeff)
+        row = _KINDS[kind]
+        self._part = (row.level, row.forward, param, coeff)
+        self._lone = None if more else (row, param, coeff)
+        # (a) -> the step of a this level is constant on at any fixed b, or None
+        self.step = None if more or row.step is None else partial(row.step, param)
         atoms = g.atoms
         self._sum = None if not more else (
             g.c, g.g0, atoms, _lattice([tau for tau, _ in atoms] or [1.0]),
@@ -468,6 +521,35 @@ class LevelFunction:
         if forward is not None and bound < math.inf and _above(forward, param, coeff, a, b, bound):
             return math.inf
         return level(param, a, b) / coeff
+
+    def cut(self, b: float, bound: float) -> float:
+        """An a past which eval(a, b, bound) is inf by the forward test:
+        its kind's inverse of that test at a target lowered by 2 SLACK,
+        widened by 1e-9 relative; inf for a sum or a kind without one.
+        Uncertified: `certifies` checks a value at or past it."""
+        if self._lone is None or self._lone[0].reject is None:
+            return math.inf
+        row, param, coeff = self._lone
+        w, target = _test_point(coeff, b, bound)
+        a = row.reject(param, w, target * (1.0 - 2.0 * SLACK)) * (1.0 + 1e-9)
+        return a if 0.0 <= a < math.inf else math.inf  # nan too
+
+    def certifies(self, a: float, b: float, bound: float) -> bool:
+        """True when the forward test rejects at a with SLACK to spare, and
+        so, the forward column being monotone in a up to its kernel's
+        defect, at every larger a: eval returns inf there."""
+        row, param, coeff = self._lone
+        w, target = _test_point(coeff, b, bound)
+        return row.forward(param, a, w) * (1.0 + SLACK) < target
+
+    def unlevel(self, level: float, b: float) -> float:
+        """The a whose level at b is `level`, to rounding, for a kind with an
+        inverse column (the level is then monotone in a to the last bit);
+        inf for any other."""
+        if self._lone is None or self._lone[0].inverse is None:
+            return math.inf
+        row, param, coeff = self._lone
+        return row.inverse(param, level * coeff, b)
 
     # only bench/spans.py uses this name: it traces it from the class dictionary
     def eval_terms(self, a: float, b: float, bound: float = math.inf) -> float:

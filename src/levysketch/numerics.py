@@ -7,10 +7,11 @@ the same C code the ``scipy.special`` ufuncs wrap, which take and return
 Python floats and skip the ufunc dispatch (about 1.3 us per scalar call,
 several times the kernel itself).  ``erfinv``, ``gammaincc`` and ``gammainc``
 stand behind inv_erf, regularized_gamma_q and poisson_tail, which check
-their domain; ``gammaincinv``, ``ndtr`` and ``erf`` are re-exported as they
-are.  A test checks every routed kernel against its ufunc bit for bit, over
-a seeded log-uniform grid and the edges of the domain; others check them
-against direct quadrature, series summation and round trips.
+their domain; ``gammaincinv``, ``gammainccinv``, ``gdtrib``, ``ndtr`` and
+``erf`` are re-exported as they are.  A test checks every routed kernel
+against its ufunc bit for bit, over a seeded log-uniform grid and the edges
+of the domain; others check them against direct quadrature, series
+summation and round trips.
 
 The root finder is the inverse for continuous functions, and REL, ABS and
 MAX_ITER are the one stopping contract those inverses meet.  A solve of
@@ -35,7 +36,8 @@ import math
 import struct
 from typing import Callable
 
-from scipy.special.cython_special import erf, gammaincinv, ndtr  # re-exported as they are
+# re-exported as they are
+from scipy.special.cython_special import erf, gammainccinv, gammaincinv, gdtrib, ndtr
 from scipy.special.cython_special import erfinv as _erfinv
 from scipy.special.cython_special import gammainc as _gammainc
 from scipy.special.cython_special import gammaincc as _gammaincc
@@ -48,6 +50,8 @@ __all__ = [
     "NoConvergenceError",
     "erf",
     "gammaincinv",
+    "gammainccinv",
+    "gdtrib",
     "ndtr",
     "inv_erf",
     "regularized_gamma_q",

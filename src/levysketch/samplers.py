@@ -273,18 +273,20 @@ class KParetoFrontier:
 
 def _level_draw(sketch, key: int, delta: float) -> float:
     """One update's candidate value t = l_G(Y/delta, H(key)), bounded by the
-    state's threshold for key."""
+    state's threshold for key; Y/delta is the least positive double where it
+    underflows to 0."""
     check_update(key, delta)
     y = fresh_exp(sketch.fresh)
-    return sketch.level.eval(y / delta, hash_unit(sketch.oracle, key),
+    return sketch.level.eval(y / delta or 5e-324, hash_unit(sketch.oracle, key),
                              sketch.state.threshold(key))
 
 
 def _frontier_insert(sketch, key: int, delta: float) -> None:
-    """Insert one update's raw point (Y/delta, H(key))."""
+    """Insert one update's raw point (Y/delta, H(key)), Y/delta clamped as
+    in _level_draw."""
     check_update(key, delta)
     y = fresh_exp(sketch.fresh)
-    sketch.frontier.insert(ParetoTuple(y / delta, hash_unit(sketch.oracle, key), key))
+    sketch.frontier.insert(ParetoTuple(y / delta or 5e-324, hash_unit(sketch.oracle, key), key))
     if len(sketch.frontier) > sketch.max_size:
         sketch.max_size = len(sketch.frontier)
 

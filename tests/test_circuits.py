@@ -23,7 +23,7 @@ from levysketch.circuits import (
     build_edge_sampler,
     build_flat_circuit,
 )
-from levysketch.level import F0, F1, FHalf, Log, LevelFunction, KilledDriftSum, SoftCap
+from levysketch.level import F0, F1, FHalf, Log, LevelFunction, KilledDriftSum, Scaled, SoftCap
 from levysketch.oracle import (
     chi_square_gof,
     edge_weight,
@@ -337,35 +337,84 @@ def _hub_edge_sampler():
     return build_edge_sampler(spec), wires
 
 
-def _check_against_reference(c, wires, rnd, oracles, gates, tiny):
-    """Run one fork of c per oracle, feed the forks one update per entry of
-    gates, in turn, and recompute every output of every fork by hand after
-    every update: one fresh draw per wire in declaration order, pushed
-    through that wire's gates with seeds drawn under that fork's oracle.
-    So a seed table shared between forks, or a fork reading another's
-    oracle, fails."""
+def _cut_circuit(rnd):
+    """A random circuit whose paths end in a log or softcap gate after fhalf
+    and scalar gates, fanned in, and by hand each input gate's wires in
+    declaration order as (operations, output, label)."""
+    c = Circuit()
+    c.add_gate("out", OutputGate())
+    wires = {"in0": [], "in1": []}
+    for gate in wires:
+        c.add_gate(gate, InputGate())
+    ids = iter(range(10**6))
+
+    def add(gate, dst):
+        gate_id = f"x{next(ids):02d}"
+        c.add_gate(gate_id, gate)
+        c.add_wire(gate_id, dst)
+        return gate_id
+
+    for e in range(rnd.randint(2, 4)):
+        dst, tail = "out", []
+        for _ in range(rnd.randint(0, 1)):
+            alpha = rnd.uniform(0.5, 3.0)
+            dst, tail = add(ScalarGate(alpha), dst), [("s", alpha)] + tail
+        level = LevelFunction(rnd.choice((Log(), Scaled(2.5, Log()), SoftCap(0.5),
+                                          SoftCap(3.0))))
+        g = add(GGate(level, e, e), dst)
+        label = g if dst == "out" else dst
+        ops_at_g = [("g", level, e, e)] + tail
+        for _ in range(rnd.randint(1, 3)):  # fan-in
+            entry, ops = g, ops_at_g
+            for _ in range(rnd.randint(0, 3)):
+                if rnd.random() < 0.5:
+                    alpha = rnd.uniform(0.5, 3.0)
+                    entry, ops = add(ScalarGate(alpha), entry), [("s", alpha)] + ops
+                else:
+                    scope = rnd.getrandbits(64)
+                    fhalf = LevelFunction(Scaled(rnd.uniform(0.5, 2.0), FHalf()))
+                    entry = add(GGate(fhalf, 7, scope), entry)
+                    ops = [("g", fhalf, 7, scope)] + ops
+            empty = [gate for gate in sorted(wires) if not wires[gate]]
+            gate = empty[0] if empty else rnd.choice(sorted(wires))
+            c.add_wire(gate, entry)
+            wires[gate].append((ops, "out", label))
+    return c, wires
+
+
+def _check_against_reference(c, wires, oracles, updates):
+    """Run one fork of c per oracle, feed the forks each (input gate, delta)
+    of updates, in turn, and recompute every output of every fork by hand
+    after every update: one fresh draw per wire in declaration order,
+    pushed through that wire's gates with seeds drawn under that fork's
+    oracle.  So a seed table shared between forks, or a fork reading
+    another's oracle, fails.  Returns the finite path thresholds found."""
     runs = [(c.fork(oracle), oracle, FreshSource(oracle.seed), FreshSource(oracle.seed), {})
             for oracle in oracles]
-    for gate in gates:
-        delta = 1e-310 if rnd.random() < tiny else rnd.uniform(0.1, 5.0)
-        for fork, oracle, fresh, ref_fresh, state in runs:
-            fork.update(gate, delta, fresh)
-            for ops, out, label in wires[gate]:
-                value = fresh_exp(ref_fresh) / delta
-                for op in ops:
-                    if op[0] == "s":
-                        value /= op[1]
-                    else:
-                        _, level, salt, scope = op
-                        salted = OracleHash(oracle.seed, salt)
-                        u = (hash_unit_bytes(salted, scope) if isinstance(scope, bytes)
-                             else hash_unit(salted, scope))
-                        value = level.eval(value, u)
-                if out not in state or (value, label) < state[out][::-1]:
-                    state[out] = (label, value)
-            for out in fork.output_gate_ids():
-                assert fork.output(out) == state.get(out)
+    cuts = []
+    original = Circuit._cut
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Circuit, "_cut", lambda *args: cuts.append(original(*args)) or cuts[-1])
+        for gate, delta in updates:
+            for fork, oracle, fresh, ref_fresh, state in runs:
+                fork.update(gate, delta, fresh)
+                for ops, out, label in wires[gate]:
+                    value = fresh_exp(ref_fresh) / delta
+                    for op in ops:
+                        if op[0] == "s":
+                            value /= op[1]
+                        else:
+                            _, level, salt, scope = op
+                            salted = OracleHash(oracle.seed, salt)
+                            u = (hash_unit_bytes(salted, scope) if isinstance(scope, bytes)
+                                 else hash_unit(salted, scope))
+                            value = level.eval(value, u)
+                    if out not in state or (value, label) < state[out][::-1]:
+                        state[out] = (label, value)
+                for out in fork.output_gate_ids():
+                    assert fork.output(out) == state.get(out)
     assert all(c.output(out) is None for out in c.output_gate_ids())  # forks run alone
+    return [y for y in cuts if y < math.inf]
 
 
 def test_propagation_matches_reference():
@@ -374,15 +423,58 @@ def test_propagation_matches_reference():
         c, wires = _random_circuit(rnd)
         assert c.validate() is None
         gates = [rnd.choice(sorted(wires)) for _ in range(rnd.randint(1, 12))]
-        _check_against_reference(c, wires, rnd, (_oracle(600_000 + i), _oracle(700_000 + i)),
-                                 gates, tiny=0.2)
-    # a hub: most candidates there cannot change the output and go unsolved
+        updates = [(gate, 1e-310 if rnd.random() < 0.2 else rnd.uniform(0.1, 5.0))
+                   for gate in gates]
+        _check_against_reference(c, wires, (_oracle(600_000 + i), _oracle(700_000 + i)),
+                                 updates)
+    # log and softcap gates last after fhalf and scalar gates, under deltas
+    # 600 orders of magnitude apart: outputs hold long enough that paths
+    # get thresholds, and values above them skip every gate
+    cuts = 0
+    for i in range(30):
+        rnd = random.Random(800 + i)
+        c, wires = _cut_circuit(rnd)
+        updates = [(rnd.choice(sorted(wires)), rnd.choice((1e-300, 1e-3, 1.0, 1e3, 1e300)))
+                   for _ in range(40)]
+        cuts += len(_check_against_reference(
+            c, wires, (_oracle(800_000 + i), _oracle(900_000 + i)), updates))
+    assert cuts >= 400
+    # a hub: most candidates there cannot change the output and are
+    # rejected before any level
     rnd = random.Random(60)
     c, wires = _hub_edge_sampler()
+    updates = [(("in", 0) if rnd.random() < 0.3 else rnd.choice(sorted(wires)),
+                1e-310 if rnd.random() < 0.02 else rnd.uniform(0.1, 5.0)) for _ in range(2_000)]
+    assert len(_check_against_reference(c, wires, (_oracle(600_060), _oracle(700_060)),
+                                        updates)) >= 500
+
+
+def test_hub_paths_are_rejected_before_any_level(monkeypatch):
+    # every wire still draws its fresh exponential, but on this degree-26
+    # hub the level evaluations per update fall from about 29 to under 1
+    import levysketch.circuits as circuits_module
+    c, wires = _hub_edge_sampler()
+    rnd = random.Random(61)
     gates = [("in", 0) if rnd.random() < 0.3 else rnd.choice(sorted(wires))
-             for _ in range(320)]
-    _check_against_reference(c, wires, rnd, (_oracle(600_060), _oracle(700_060)),
-                             gates, tiny=0.02)
+             for _ in range(2_000)]
+    deltas = [rnd.uniform(0.1, 5.0) for _ in gates]
+    evals = Counter()
+    original = LevelFunction.eval
+    monkeypatch.setattr(LevelFunction, "eval",
+                        lambda *args: evals.update(["n"]) or original(*args))
+    outputs = []
+    for rejections in (math.inf, 3):  # never a threshold, then as built
+        monkeypatch.setattr(circuits_module, "_REJECTIONS_BEFORE_CUT", rejections)
+        evals.clear()
+        run = c.fork(_oracle(600_061))
+        fresh = FreshSource(run.oracle.seed)
+        for gate, delta in zip(gates, deltas):
+            run.update(gate, delta, fresh)
+        assert fresh.counter == sum(len(wires[gate]) for gate in gates)
+        outputs.append((run.output("out"), evals["n"] / len(gates)))
+    (without, before), (with_cuts, after) = outputs
+    assert with_cuts == without
+    assert before > 25 and after < 1, (before, after)
 
 
 def test_rejected_candidates_do_not_reach_the_solver(full_evals):
@@ -395,6 +487,30 @@ def test_rejected_candidates_do_not_reach_the_solver(full_evals):
     for v in rnd.choices(range(21), zipf, k=2_000):
         s.update(v, 10.0 ** rnd.uniform(-3.0, 3.0))
     assert full_evals["n"] < 0.05 * 2_000
+
+
+def test_softcap_ties_reuse_the_gates_last_level(full_evals):
+    # for a <= tau a softcap level depends on its seed alone, so on these
+    # seeds a 20-star re-solved the same soft-cap levels 300 to 470 times;
+    # each gate's last (jump count, level) now serves every repeat, and the
+    # outputs stay those of a run that solves each one again
+    spec = EdgeSamplerSpec(tuple(range(21)), tuple((0, v) for v in range(1, 21)))
+    zipf = [1.0 / (i + 1) ** 1.1 for i in range(21)]
+    for seed in (6, 7, 11, 17, 19):
+        rnd = random.Random(126)
+        updates = [(v, 10.0 ** rnd.uniform(-3.0, 3.0))
+                   for v in rnd.choices(range(21), zipf, k=2_000)]
+        memo, solving = EdgeSampler(spec, _oracle(seed)), EdgeSampler(spec, _oracle(seed))
+        for gate in solving.circuit.gates.values():
+            if isinstance(gate, GGate):
+                gate.level.step = None  # the gates of this build only
+        calls, outputs = [], []
+        for s in (memo, solving):
+            full_evals.clear()
+            outputs.append([s.update(v, delta) or s.query() for v, delta in updates])
+            calls.append(full_evals["n"])
+        assert outputs[0] == outputs[1]
+        assert calls[0] < 10 < 300 < calls[1], calls
 
 
 def test_spec_validation():

@@ -619,6 +619,41 @@ def test_bound_keeps_domain_errors():
                 level.eval(a, b, 1e-3)
 
 
+@settings(max_examples=400, deadline=None)
+@given(grammar=st.sampled_from(_BOUNDED + ("scale:0.2:softcap:4",)), e=st.floats(-8.0, 8.0),
+       b=_B, ups=st.lists(st.floats(0.0, 40.0), min_size=1, max_size=4))
+def test_a_certified_cut_rejects_every_larger_first_argument(grammar, e, b, ups):
+    # cut inverts the forward test; where one value at it certifies, the
+    # bounded level is inf there and at every larger a, by one ulp or by far
+    level = LevelFunction(parse_weight(grammar))
+    bound = 10.0 ** e
+    a = max(level.cut(b, bound), 5e-324)
+    if a < math.inf and level.certifies(a, b, bound):
+        for a2 in (a, math.nextafter(a, math.inf), *(a * 2.0 ** up for up in ups)):
+            assert level.eval(a2, b, bound) == math.inf, a2
+
+
+def test_cuts_and_inverses_by_kind():
+    # a lone log or softcap part has a certified cut: at or below an a
+    # whose level lies just over bound, above one whose level lies well
+    # under it; fhalf has an inverse; no other kind or sum has either
+    for grammar in ("log", "scale:3:log", "softcap:1", "scale:0.5:softcap:2"):
+        level = LevelFunction(parse_weight(grammar))
+        for a, b in ((0.3, 0.2), (2.0, 0.5), (40.0, 0.9)):
+            full = level.eval(a, b)
+            cut = level.cut(b, full * (1.0 - 1e-6))
+            assert 0.0 <= cut <= a and level.certifies(cut, b, full * (1.0 - 1e-6))
+            assert level.cut(b, full * 1.5) > a
+    fhalf = LevelFunction(Scaled(3.0, FHalf()))
+    for target in (1e-100, 0.3, 7.0, 1e100):
+        for b in (1e-18, 0.5, 1.0 - 2.0 ** -53):
+            assert fhalf.eval(fhalf.unlevel(target, b), b) == pytest.approx(target, rel=1e-14)
+    for g in (F0(), F1(), FHalf(), KilledDriftSum(c=1.0, g0=1.0, atoms=((1.0, 2.0),))):
+        assert LevelFunction(g).cut(0.5, 1.0) == math.inf
+    for g in (F0(), F1(), Log(), SoftCap(1.0), KilledDriftSum(c=1.0, g0=1.0)):
+        assert LevelFunction(g).unlevel(1.0, 0.5) == math.inf
+
+
 def _within_tolerance(forward, w, b):
     """w is where a solver meeting numerics' stopping contract may stop for
     forward(w) = b: inside one stopping width of the crossing, up to the

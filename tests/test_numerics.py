@@ -178,12 +178,22 @@ def test_kernels_equal_the_ufuncs_bit_for_bit():
     # eval_softcap's level: jump counts against seeded and edge values of b
     inverses = list(zip(counts, bs + bs))
     inverses += [(k, b) for k in (1, *_EDGE_SHAPES[1:]) for b in _EDGE_B]
+    # a circuit path's threshold: log's and softcap's forward tests inverted
+    # at a shape or rate and a target
+    cuts = list(zip((s for s, _ in pairs), bs + bs))
+    cuts += [(s, b) for s in _EDGE_SHAPES for b in _EDGE_B]
 
     mismatches = [("inv_erf", b) for b in bs
                   if _bits(inv_erf(b)) != _bits(float(scipy.special.erfinv(b)))]
     mismatches += [("gammaincinv", k, b) for k, b in inverses
                    if _bits(level.gammaincinv(k, b))
                    != _bits(float(scipy.special.gammaincinv(k, b)))]
+    mismatches += [("gammainccinv", s, b) for s, b in cuts
+                   if _bits(numerics.gammainccinv(s, b))
+                   != _bits(float(scipy.special.gammainccinv(s, b)))]
+    mismatches += [("gdtrib", b, w) for w, b in cuts
+                   if _bits(numerics.gdtrib(1.0, b, w))
+                   != _bits(float(scipy.special.gdtrib(1.0, b, w)))]
     mismatches += [("regularized_gamma_q", s, x) for s, x in pairs
                    if _bits(regularized_gamma_q(s, x))
                    != _bits(float(scipy.special.gammaincc(s, x)))]
@@ -210,11 +220,32 @@ def test_kernels_equal_the_ufuncs_bit_for_bit():
                    if _bits(oracle._chi_square_critical(float(alpha), int(dof)))
                    != _bits(float(want))]
     assert mismatches == []
-    assert min(len(bs), len(pairs), len(tails), len(inverses), len(xs), ppf.size) >= 20_000
+    assert min(len(bs), len(pairs), len(tails), len(inverses), len(cuts), len(xs),
+               ppf.size) >= 20_000
+
+
+def test_gammaincc_rises_on_steps_up_in_a_far_less_than_the_certificate_slack():
+    """A circuit path's threshold trusts one value of Q(w, a) for every
+    larger a, up to level.SLACK (LevelFunction.certifies).  Q falls in a,
+    but the kernel rises on some one-ulp steps up; where Q is at least
+    1e-20, below any target a seed U sets, neither those rises nor those
+    over wider steps come within a tenth of the slack."""
+    rng = random.Random(20261019)
+    rises = []
+    for i in range(100_000):
+        w = _log_uniform(rng, 1e-6, 1e6)
+        a = w * _log_uniform(rng, 1e-3, 1e3) if i % 2 else _log_uniform(rng, 1e-300, 1e3)
+        q = regularized_gamma_q(w, a)
+        if q >= 1e-20:
+            for up in (math.nextafter(a, math.inf), a * (1.0 + _log_uniform(rng, 1e-16, 1e-6))):
+                rises.append(regularized_gamma_q(w, up) / q - 1.0)
+    assert len(rises) >= 100_000
+    assert max(rises) < level.SLACK / 10
 
 
 def test_kernels_return_python_floats():
-    for value in (inv_erf(0.5), level.gammaincinv(7, 0.5), regularized_gamma_q(2, 1.0),
+    for value in (inv_erf(0.5), level.gammaincinv(7, 0.5), numerics.gammainccinv(2.0, 0.5),
+                  numerics.gdtrib(1.0, 0.5, 2.0), regularized_gamma_q(2, 1.0),
                   poisson_tail(2**64 + 7, 1.0), numerics.ndtr(-1.0), numerics.erf(0.5),
                   oracle._chi_square_critical(0.01, 3)):
         assert type(value) is float

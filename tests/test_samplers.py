@@ -10,6 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import levysketch.circuits as circuits_module
+import levysketch.samplers as samplers_module
+from levysketch.circuits import build_flat_circuit
 from levysketch.level import (
     CATALOGUE,
     F0,
@@ -19,6 +22,7 @@ from levysketch.level import (
     LevelFunction,
     Log,
     Scaled,
+    SoftCap,
     eval_f0,
     eval_f1,
     eval_fhalf,
@@ -36,6 +40,7 @@ from levysketch.randomness import (
     FreshSource,
     OracleHash,
     derive_seed,
+    exp_from_uniform,
     fresh_exp,
     hash_unit,
     parse_seed,
@@ -86,6 +91,29 @@ def test_non_finite_deltas_rejected():
             s.update(1, 1e-310)  # a subnormal delta is legal
             s.update(2, 1.0)
             assert deserialize(s.to_bytes(), level).to_bytes() == s.to_bytes()
+
+
+def test_a_start_value_that_underflows_is_clamped(monkeypatch):
+    # the least fresh draw over delta = 1.7e308 rounds to 0.0; every sketch
+    # and a flat circuit start from 5e-324 there instead, and still agree
+    least = exp_from_uniform(1.0 - 2.0 ** -53)
+    assert least / 1.7e308 == 0.0
+    for module in (samplers_module, circuits_module):
+        monkeypatch.setattr(module, "fresh_exp", lambda source: least)
+    for i, g in enumerate((F0(), F1(), FHalf(), Log(), SoftCap(1.0))):
+        level, oracle = LevelFunction(g), _oracle(900 + i)
+        sketches = (GSampler(level, oracle), ParetoSampler(oracle),
+                    WorSampler(2, level, oracle), KParetoSampler(2, oracle))
+        circuit = build_flat_circuit({3: level}).fork(oracle)
+        for s in sketches:
+            s.update(3, 1.7e308)
+            assert deserialize(s.to_bytes(), level).to_bytes() == s.to_bytes()
+        circuit.update(("in", 3), 1.7e308, FreshSource(oracle.seed))
+        b = hash_unit(oracle, 3)
+        assert sketches[1].frontier.tuples() == (ParetoTuple(5e-324, b, 3),)
+        answer = (3, level.eval(5e-324, b))
+        assert sketches[0].query() == sketches[1].query(level) == circuit.output("out") == answer
+        assert sketches[2].query() == [answer] and sketches[3].query(level) == [3]
 
 
 def test_keys_outside_64_bits_rejected():
