@@ -15,11 +15,12 @@ three operations into a DAG:
 Scalar and G gates must have exactly one successor, which is what keeps the
 values arriving at any gate over different wires independent.  So a value
 leaving an input gate on one wire runs along one path of gates to one output
-gate.  `Circuit.validate` compiles those paths once (or raises
-`CircuitError`), each `Circuit.fork(oracle)` is a run over them, and an
-update runs them.  A run owns its oracle, the G-gate seeds drawn under it
-and the output gates' state; only the last carries information between
-updates, so a whole circuit costs two words per output gate.
+gate.  A `CircuitBuilder` collects gates and wires; its `validate` compiles
+those paths once into an immutable `CircuitPlan` (or raises `CircuitError`),
+and each `Circuit(plan, oracle)` is one run of it.  A run owns its oracle,
+the G-gate seeds drawn under it and the output gates' pairs; only those
+pairs carry information between updates, so a whole circuit costs two words
+per output gate.
 
 Most candidates cannot change their output, and a path is rejected before
 any level.  Every gate is monotone in its input, so once a path has
@@ -41,7 +42,6 @@ a log gate and a halving scalar gate per edge.
 
 from __future__ import annotations
 
-import copy
 import math
 import struct
 from dataclasses import dataclass
@@ -58,6 +58,8 @@ __all__ = [
     "OutputGate",
     "Gate",
     "CircuitError",
+    "CircuitBuilder",
+    "CircuitPlan",
     "Circuit",
     "CircuitSketch",
     "EdgeSampler",
@@ -91,24 +93,24 @@ class ScalarGate:
             raise ValueError(f"alpha must be positive and finite, got {self.alpha}")
 
 
+@dataclass(frozen=True, eq=False)
 class GGate:
     """Applies the level function of any weight, sums included, with a per-gate seed U.
 
     The seed is drawn from the oracle hash under `seed_salt`, keyed by the
     gate's scope: an integer key or an arbitrary byte string (e.g. a
-    canonical edge encoding).
+    canonical edge encoding).  Gates compare by identity.
     """
 
-    def __init__(self, level: LevelFunction, seed_salt: int, scope: Union[int, bytes]):
+    level: LevelFunction
+    seed_salt: int
+    scope: Union[int, bytes]
+
+    def __post_init__(self) -> None:
         # an int scope is a 64-bit key: hash_unit would alias -1 to 2^64 - 1
+        scope = self.scope
         if not (isinstance(scope, bytes) or (isinstance(scope, int) and 0 <= scope < 1 << 64)):
             raise ValueError(f"G-gate scope must be bytes or an int in [0, 2^64), got {scope!r}")
-        self.level = level
-        self.seed_salt = seed_salt
-        self.scope = scope
-
-    def __repr__(self) -> str:
-        return f"GGate({self.level!r}, salt={self.seed_salt}, scope={self.scope!r})"
 
     def unit(self, oracle: OracleHash) -> float:
         """The gate's seed U under `oracle`."""
@@ -120,10 +122,10 @@ class GGate:
 
 @dataclass(frozen=True)
 class OutputGate:
-    """Keeps the minimum arriving value and its originating identifier; an
-    equal value goes to the smaller identifier, so the identifiers reaching
-    one output gate must be mutually orderable (keys, gate-id strings and
-    edge tuples are)."""
+    """Marks where paths end.  A run keeps, per output gate, the minimum
+    arriving value and its originating identifier; an equal value goes to
+    the smaller identifier, so the identifiers reaching one output gate must
+    be mutually orderable (keys, gate-id strings and edge tuples are)."""
 
 
 Gate = Union[InputGate, ScalarGate, GGate, OutputGate]
@@ -138,29 +140,14 @@ class CircuitError(ValueError):
         self.reason = reason
 
 
-# A path's threshold is computed once it has rejected this many values under
-# one output value, not each time that value changes: most forks of a small
-# circuit run a few updates, and eager thresholds cost them more than the
-# evaluations they save.
-_REJECTIONS_BEFORE_CUT = 3
-
-
-def _no_cuts(paths: int) -> tuple[list, list, list]:
-    """Per path number: its threshold y* (inf until computed), the output
-    value that y* and the rejection count are for, and that count."""
-    return [math.inf] * paths, [None] * paths, [0] * paths
-
-
-class Circuit:
-    """A gate DAG run as one gate path per input wire, plus one run's state:
-    its oracle, the G-gate seeds drawn under it and the output gates' pairs.
+class CircuitBuilder:
+    """A gate DAG under construction.
 
     Gates are added by id (any hashable); wires are directed and ordered --
     the declaration order of an input gate's outgoing wires fixes the order
     in which its fresh exponentials are drawn, which is what makes replays
-    and shard merges exact.  `validate` compiles the paths once; each
-    `fork(oracle)` is a run over them.  A circuit that is not a fork runs
-    under `OracleHash()`.
+    and shard merges exact.  `validate` compiles the wires into a plan; the
+    builder may be edited further, and a later `validate` sees the edits.
     """
 
     def __init__(self) -> None:
@@ -168,24 +155,8 @@ class Circuit:
         self.labels: dict = {}
         self._succ: dict = {}
         self._pred: dict = {}
-        # input gate -> [(path number, gates passed, output gate, label
-        # reported, index of the last G-gate passed, product of the alphas
-        # after it)] per wire
-        self._paths: Optional[dict] = None
-        self.oracle = OracleHash()
-        self._units: dict = {}  # G-gate id -> seed U under self.oracle
-        self._memo: dict = {}  # G-gate id -> (step of a, level) last solved
-        self._cuts = _no_cuts(0)
-        self._out_state: dict = {}
-        self._is_fork = False
-
-    def _edit(self) -> None:
-        if self._is_fork:  # it shares its gates and wires with its template
-            raise ValueError("a fork cannot be built on; build the circuit it was forked from")
-        self._paths = None
 
     def add_gate(self, gate_id, gate: Gate, label=None) -> None:
-        self._edit()
         if gate_id in self.gates:
             raise ValueError(f"duplicate gate id {gate_id!r}")
         self.gates[gate_id] = gate
@@ -193,22 +164,17 @@ class Circuit:
         self._pred[gate_id] = []
         if label is not None:
             self.labels[gate_id] = label
-        if isinstance(gate, OutputGate):
-            self._out_state[gate_id] = (None, math.inf)
 
     def add_wire(self, src, dst) -> None:
-        self._edit()
         for g in (src, dst):
             if g not in self.gates:
                 raise ValueError(f"wire references unknown gate {g!r}")
         self._succ[src].append(dst)
         self._pred[dst].append(src)
 
-    # -- validation ----------------------------------------------------------
-
-    def validate(self) -> None:
-        """Check the structural rules and, when they hold, compile the wire
-        paths; CircuitError names the first rule broken."""
+    def validate(self) -> "CircuitPlan":
+        """The compiled plan if the structural rules hold; CircuitError
+        names the first rule broken."""
         for gate_id, gate in self.gates.items():
             n_out = len(self._succ[gate_id])
             n_in = len(self._pred[gate_id])
@@ -238,19 +204,19 @@ class Circuit:
                 continue
             if not self._succ[gate_id]:
                 raise CircuitError(gate_id, "gate cannot reach an output gate")
-            paths[gate_id] = []
+            wires = []
             for dst in self._succ[gate_id]:
                 chain = [gate_id] + self._chain(dst)
                 passed = tuple((g, self.gates[g]) for g in chain[1:-1])
                 last_g = max((i for i, (_, gate) in enumerate(passed)
                               if isinstance(gate, GGate)), default=-1)
                 scale = math.prod(gate.alpha for _, gate in passed[last_g + 1:])
-                paths[gate_id].append((number, passed, chain[-1],
-                                       self.labels.get(chain[-2], chain[-2]), last_g, scale))
+                wires.append((number, passed, chain[-1],
+                              self.labels.get(chain[-2], chain[-2]), last_g, scale))
                 number += 1
-        self._paths = paths
-        self._cuts = _no_cuts(number)
-        return None
+            paths[gate_id] = tuple(wires)
+        outputs = tuple(g for g, gate in self.gates.items() if isinstance(gate, OutputGate))
+        return CircuitPlan(paths, outputs)
 
     def _chain(self, gate_id) -> list:
         """gate_id and the gates after it, following single successors up to
@@ -264,41 +230,59 @@ class Circuit:
             seen.add(nxt)
         return chain
 
-    # -- execution -----------------------------------------------------------
 
-    def fork(self, oracle: OracleHash = OracleHash()) -> "Circuit":
-        """A run of this circuit under `oracle`: the same gates and compiled
-        paths, with gate seeds and output state (every output gate empty) of
-        its own.  The two share their gates and wires, so a fork refuses
-        add_gate and add_wire.  CircuitError if it breaks a structural rule."""
-        if self._paths is None:
-            self.validate()
-        twin = copy.copy(self)
-        twin._is_fork = True
-        twin.oracle = oracle
-        twin._units, twin._memo, twin._cuts = {}, {}, _no_cuts(len(self._cuts[0]))
-        twin._out_state = dict.fromkeys(self._out_state, (None, math.inf))
-        return twin
+@dataclass(frozen=True)
+class CircuitPlan:
+    """A validated circuit, compiled: `paths` maps each input gate to its
+    wires' paths in declaration order, each (path number, (gate id, gate)
+    per gate passed, output gate, label reported, index of the last G-gate
+    passed, product of the alphas after it); `outputs` holds the output
+    gate ids in declaration order.  Any number of runs share one plan."""
+
+    paths: dict
+    outputs: tuple
+
+
+# A path's threshold is computed once it has rejected this many values under
+# one output value, not each time that value changes: most runs of a small
+# circuit see a few updates, and eager thresholds cost them more than the
+# evaluations they save.
+_REJECTIONS_BEFORE_CUT = 3
+
+
+class Circuit:
+    """One run of a plan under `oracle`: the G-gate seeds drawn under it,
+    the path thresholds and softcap levels found so far, and the output
+    gates' pairs, every output gate empty at the start."""
+
+    def __init__(self, plan: CircuitPlan, oracle: OracleHash = OracleHash()) -> None:
+        self.plan = plan
+        self.oracle = oracle
+        self._units: dict = {}  # G-gate id -> seed U under self.oracle
+        self._memo: dict = {}  # G-gate id -> (step of a, level) last solved
+        # per path number: its threshold y* (inf until computed), the output
+        # value that y* and the rejection count are for, and that count
+        n = sum(map(len, plan.paths.values()))
+        self._cuts = [math.inf] * n, [None] * n, [0] * n
+        self._out_state = dict.fromkeys(plan.outputs, (None, math.inf))
 
     def update(self, input_gate, delta: float, rng: FreshSource) -> None:
         """Process one update arriving at an input gate.
 
-        Each outgoing wire, in declaration order, draws Exp(1)/delta (the
-        least positive double where that underflows to 0) and carries it
-        along its path to its output gate.  A path whose last G-gate has
-        rejected three values under the output's current value gets a
-        threshold y* on the starting value (see _cut); a value above it is
-        rejected before any gate.  Otherwise the path's last G-gate, bounded
-        by the output's value times the alphas after it, solves only for a
-        value that can change the output, and a softcap gate whose jump
-        count repeats reuses its last level.  G-gate seeds come from this
-        run's oracle.  Only output-gate state carries information between
-        updates.  ValueError unless 0 < delta < inf; CircuitError if the
-        circuit breaks a structural rule.
+        Each outgoing wire, in declaration order, draws Exp(1)/delta and
+        carries it along its path to its output gate; a start value or a
+        scalar gate's quotient that underflows to 0 becomes the least
+        positive double.  A path whose last G-gate has rejected three values
+        under the output's current value gets a threshold y* on the starting
+        value (see _cut); a value above it is rejected before any gate.
+        Otherwise the path's last G-gate, bounded by the output's value
+        times the alphas after it, solves only for a value that can change
+        the output, and a softcap gate whose jump count repeats reuses its
+        last level.  G-gate seeds come from this run's oracle.  Only
+        output-gate state carries information between updates.  ValueError
+        unless input_gate is an input gate and 0 < delta < inf.
         """
-        if self._paths is None:
-            self.validate()
-        paths = self._paths.get(input_gate)
+        paths = self.plan.paths.get(input_gate)
         if paths is None:
             raise ValueError(f"{input_gate!r} is not an input gate")
         if not (0 < delta < math.inf):
@@ -313,7 +297,7 @@ class Circuit:
                 continue
             for i, (gate_id, gate) in enumerate(passed):
                 if isinstance(gate, ScalarGate):
-                    value /= gate.alpha
+                    value = value / gate.alpha or 5e-324
                     continue
                 u = units.get(gate_id)
                 if u is None:
@@ -363,12 +347,8 @@ class Circuit:
             return math.inf
         a = y
         for gate_id, gate in passed[:last_g]:
-            if isinstance(gate, ScalarGate):
-                a /= gate.alpha
-            elif a > 0.0:
-                a = gate.level.eval(a, units[gate_id])
-            else:  # a scalar gate underflowed: no G-gate takes 0
-                return math.inf
+            a = ((a / gate.alpha or 5e-324) if isinstance(gate, ScalarGate)
+                 else gate.level.eval(a, units[gate_id]))
         return y if last.level.certifies(a, units[last_id], bound) else math.inf
 
     def output(self, output_gate) -> Optional[tuple[object, float]]:
@@ -382,14 +362,14 @@ class Circuit:
         return list(self._out_state)
 
 
-def build_flat_circuit(weights_by_key: dict[int, LevelFunction]) -> Circuit:
+def build_flat_circuit(weights_by_key: dict[int, LevelFunction]) -> CircuitPlan:
     """One input gate and one G-gate per key, all feeding one output gate.
 
     With the same weight function everywhere this reproduces a GSampler
     seed for seed; with different ones it samples key v with probability
     G_v(x(v)) / sum_u G_u(x(u)).
     """
-    c = Circuit()
+    c = CircuitBuilder()
     c.add_gate("out", OutputGate())
     for key in weights_by_key:
         c.add_gate(("in", key), InputGate())
@@ -397,8 +377,7 @@ def build_flat_circuit(weights_by_key: dict[int, LevelFunction]) -> Circuit:
                    label=key)
         c.add_wire(("in", key), ("g", key))
         c.add_wire(("g", key), "out")
-    c.validate()
-    return c
+    return c.validate()
 
 
 @dataclass(frozen=True)
@@ -441,7 +420,7 @@ def _scope(*ids: int) -> bytes:
     return struct.pack(f"<{len(ids)}Q", *ids)
 
 
-def build_edge_sampler(spec: EdgeSamplerSpec) -> Circuit:
+def build_edge_sampler(spec: EdgeSamplerSpec) -> CircuitPlan:
     """The edge-sampling circuit for the fixed weight
     log(1 + sum sqrt) + 2(1 - exp(-sum)).
 
@@ -458,7 +437,7 @@ def build_edge_sampler(spec: EdgeSamplerSpec) -> Circuit:
     make every edge's value an independent exponential, so the proportional
     law holds exactly.
     """
-    c = Circuit()
+    c = CircuitBuilder()
     c.add_gate("out", OutputGate())
     sqrt_level = LevelFunction(FHalf())
     softcap_level = LevelFunction(SoftCap(1.0))
@@ -488,31 +467,30 @@ def build_edge_sampler(spec: EdgeSamplerSpec) -> Circuit:
             if v in e:
                 c.add_wire(("in", v), ("sqrt", v, e))
                 c.add_wire(("in", v), ("softcap", e))
-
-    c.validate()
-    return c
+    return c.validate()
 
 
 class CircuitSketch:
     """A circuit as a sketch: update(key, delta) checks the pair by the
     samplers' rule, then feeds the key's input gate, if any (a key without
     one cannot change an output), and query() is one output gate's
-    (identifier, value).  Each sketch runs its own fork of the circuit under
-    its oracle, so one compiled circuit serves any number of sketches, at
-    once or in turn; `fork(oracle)` starts another one from empty."""
+    (identifier, value).  Each sketch is its own run of the plan under its
+    oracle, so one compiled plan serves any number of sketches, at once or
+    in turn; `fork(oracle)` starts another one from empty."""
 
-    def __init__(self, circuit: Circuit, inputs: dict, output_id,
+    def __init__(self, plan: CircuitPlan, inputs: dict, output_id,
                  oracle: OracleHash = OracleHash()):
-        self.circuit = circuit.fork(oracle)
+        self.plan = plan
+        self.circuit = Circuit(plan, oracle)
         self.inputs = inputs
         self.output_id = output_id
         self.oracle = oracle
         self.fresh = FreshSource(oracle.seed)
 
     def fork(self, oracle: OracleHash = OracleHash()) -> "CircuitSketch":
-        """A sketch over the same compiled circuit and inputs, run under
-        `oracle` from empty."""
-        return CircuitSketch(self.circuit, self.inputs, self.output_id, oracle)
+        """A sketch over the same plan and inputs, run under `oracle` from
+        empty."""
+        return CircuitSketch(self.plan, self.inputs, self.output_id, oracle)
 
     def update(self, key: int, delta: float) -> None:
         check_update(key, delta)
@@ -529,6 +507,6 @@ class EdgeSampler(CircuitSketch):
     vertex has no input gate, so its updates are checked and change nothing."""
 
     def __init__(self, spec: EdgeSamplerSpec, oracle: OracleHash = OracleHash()):
-        circuit = build_edge_sampler(spec)
-        inputs = {v: ("in", v) for v in spec.vertices if ("in", v) in circuit.gates}
-        super().__init__(circuit, inputs, "out", oracle)
+        plan = build_edge_sampler(spec)
+        inputs = {v: ("in", v) for v in spec.vertices if ("in", v) in plan.paths}
+        super().__init__(plan, inputs, "out", oracle)

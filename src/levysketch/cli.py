@@ -34,8 +34,8 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
-from .circuits import Circuit, CircuitError, CircuitSketch, EdgeSampler, EdgeSamplerSpec, \
-    GGate, InputGate, OutputGate, ScalarGate, build_edge_sampler
+from .circuits import CircuitBuilder, CircuitError, CircuitPlan, CircuitSketch, EdgeSampler, \
+    EdgeSamplerSpec, GGate, InputGate, OutputGate, ScalarGate, build_edge_sampler
 from .level import LevelFunction, parse_weight
 from .oracle import UndersampledError, chi_square_gof, exact_edge_distribution
 from .randomness import DEFAULT_SEED, FreshSource, key_for_string, parse_seed
@@ -137,9 +137,9 @@ def _graph_spec(edges: list[tuple[int, ...]], source: str) -> EdgeSamplerSpec:
 
 @dataclass
 class LoadedCircuit:
-    """A validated circuit plus the stream-token to input-gate mapping."""
+    """A compiled circuit plus the stream-token to input-gate mapping."""
 
-    circuit: Circuit
+    plan: CircuitPlan
     input_by_token: dict
 
 
@@ -164,7 +164,7 @@ def load_circuit_file(text: str, source: str = "<circuit>") -> LoadedCircuit:
                 f"{source}: graph-edge shorthand cannot be mixed with explicit gates")
         spec = _graph_spec(edge_lines, source)
         return LoadedCircuit(build_edge_sampler(spec), {str(v): ("in", v) for v in spec.vertices})
-    c = Circuit()
+    c = CircuitBuilder()
     for lineno, gate_id, kind in gate_lines:
         try:
             if kind == "input":
@@ -186,11 +186,10 @@ def load_circuit_file(text: str, source: str = "<circuit>") -> LoadedCircuit:
         except ValueError as exc:
             raise StreamParseError(f"{source}:{lineno}: {exc}") from None
     try:
-        c.validate()
+        plan = c.validate()
     except CircuitError as exc:
         raise StreamParseError(f"{source}: {exc}") from None
-    inputs = {g: g for g, gate in c.gates.items() if isinstance(gate, InputGate)}
-    return LoadedCircuit(c, inputs)
+    return LoadedCircuit(plan, {g: g for g in plan.paths})
 
 
 def _record_source(rep_seed: bytes, key: int, delta: float, occurrence: int) -> FreshSource:
@@ -248,12 +247,12 @@ def _summary(values: list[float]) -> Optional[dict]:
 
 
 def _circuit_parts(circuit_text: Optional[str], records: list[StreamRecord]) -> tuple:
-    """(circuit, stream id -> input gate, first output gate) of a circuit file:
+    """(plan, stream id -> input gate, first output gate) of a circuit file:
     each stream key feeds the input gate named by its token."""
     if circuit_text is None:
         raise ValueError("circuit sketch requires the circuit spec file")
     loaded = load_circuit_file(circuit_text)
-    out_ids = loaded.circuit.output_gate_ids()
+    out_ids = loaded.plan.outputs
     if not out_ids:
         raise ValueError("circuit has no output gate")
     gate_of: dict[int, object] = {}
@@ -265,7 +264,7 @@ def _circuit_parts(circuit_text: Optional[str], records: list[StreamRecord]) -> 
             raise ValueError(
                 f"stream key {r.display!r} shares id {r.key} with a key "
                 "that feeds another input gate")
-    return loaded.circuit, gate_of, out_ids[0]
+    return loaded.plan, gate_of, out_ids[0]
 
 
 def _first(out) -> tuple[list, Optional[float]]:
@@ -371,7 +370,7 @@ def cmd_edge_sample(graph_text: str, records: list[StreamRecord],
                                    f"integers below 2^64, got {r.display!r}")
         masses[r.key] = masses.get(r.key, 0.0) + r.delta
     stream = [(r.key, r.delta) for r in records]
-    # one compiled circuit serves every rep: each rep runs a fork of it
+    # one compiled plan serves every rep: each rep is a run of it
     for sampler in replay(EdgeSampler(spec).fork, stream, config.reps, config.seed):
         out = sampler.query()
         if out is None:

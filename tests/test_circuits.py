@@ -4,6 +4,7 @@ import math
 import random
 import struct
 from collections import Counter
+from dataclasses import FrozenInstanceError
 
 import pytest
 
@@ -12,7 +13,9 @@ from levysketch.circuits import (
     SALT_EDGE_SOFTCAP,
     SALT_VERTEX_SQRT,
     Circuit,
+    CircuitBuilder,
     CircuitError,
+    CircuitPlan,
     CircuitSketch,
     EdgeSampler,
     EdgeSamplerSpec,
@@ -51,14 +54,14 @@ def _oracle(i: int) -> OracleHash:
     return OracleHash(derive_seed(SEED, i))
 
 
-def _chain(*gates) -> Circuit:
-    c = Circuit()
+def _chain(*gates) -> CircuitBuilder:
+    c = CircuitBuilder()
     for gate_id, gate in gates:
         c.add_gate(gate_id, gate)
     return c
 
 
-def _violation(c: Circuit) -> tuple:
+def _violation(c: CircuitBuilder) -> tuple:
     """(gate id, reason) of the CircuitError that validating c raises."""
     with pytest.raises(CircuitError) as err:
         c.validate()
@@ -68,8 +71,9 @@ def _violation(c: Circuit) -> tuple:
 
 
 def test_flat_circuit_validates():
-    c = build_flat_circuit({1: F1_LEVEL, 2: F1_LEVEL})
-    assert c.validate() is None
+    plan = build_flat_circuit({1: F1_LEVEL, 2: F1_LEVEL})
+    assert isinstance(plan, CircuitPlan) and plan.outputs == ("out",)
+    assert list(plan.paths) == [("in", 1), ("in", 2)]
 
 
 def test_ggate_two_successors_violation():
@@ -94,7 +98,7 @@ def test_scalar_arity_violations():
     # no successor
     assert _violation(c) == ("s", "scalar gate must have exactly 1 successor, has 0")
     c.add_wire("s", "out")
-    assert c.validate() is None
+    assert isinstance(c.validate(), CircuitPlan)
     c.add_wire("in", "s")  # second predecessor
     assert _violation(c) == ("s", "scalar gate must have exactly 1 predecessor, has 2")
 
@@ -126,7 +130,7 @@ def test_flat_circuit_of_a_sum_matches_gsampler():
         rnd = random.Random(i)
         keys = list(range(rnd.randint(1, 8)))
         oracle = _oracle(3000 + i)
-        circuit = build_flat_circuit({k: level for k in keys}).fork(oracle)
+        circuit = Circuit(build_flat_circuit({k: level for k in keys}), oracle)
         fresh = FreshSource(oracle.seed)
         scalar = GSampler(level, oracle)
         for _ in range(rnd.randint(1, 40)):
@@ -140,10 +144,14 @@ def test_ggate_scope_must_be_a_key_or_bytes():
     for bad in (None, "edge", 1.5, (1, 2), -1, 1 << 64):
         with pytest.raises(ValueError):
             GGate(F1_LEVEL, 0, bad)
+    gate = GGate(F1_LEVEL, 0, 1)  # frozen, so a plan's gates stay as validated
+    with pytest.raises(FrozenInstanceError):
+        gate.scope = -1
+    assert gate != GGate(F1_LEVEL, 0, 1)  # gates compare by identity
 
 
 def test_update_errors():
-    c = build_flat_circuit({1: F1_LEVEL}).fork(_oracle(0))
+    c = Circuit(build_flat_circuit({1: F1_LEVEL}), _oracle(0))
     fs = FreshSource(SEED)
     with pytest.raises(ValueError):
         c.update("nope", 1.0, fs)
@@ -158,29 +166,26 @@ def test_update_errors():
 
 
 def test_update_rejects_invalid_circuit():
-    # never validated: update and fork validate first and name the gate and the rule
-    fork = _chain(("in", InputGate()), ("g", GGate(F1_LEVEL, 0, 1)),
-                  ("o1", OutputGate()), ("o2", OutputGate()))
-    fork.add_wire("in", "g")
-    fork.add_wire("g", "o1")
-    fork.add_wire("g", "o2")
+    # a run is made from a plan alone, so an invalid circuit never runs:
+    # validate names the gate and the rule
+    fan = _chain(("in", InputGate()), ("g", GGate(F1_LEVEL, 0, 1)),
+                 ("o1", OutputGate()), ("o2", OutputGate()))
+    fan.add_wire("in", "g")
+    fan.add_wire("g", "o1")
+    fan.add_wire("g", "o2")
     with pytest.raises(CircuitError, match="'g'.*successor"):
-        fork.update("in", 1.0, FreshSource(SEED))
-    with pytest.raises(CircuitError, match="'g'.*successor"):
-        fork.fork(_oracle(0))
+        fan.validate()
     loop = _chain(("in", InputGate()), ("g1", GGate(F1_LEVEL, 0, 1)),
                   ("g2", GGate(F1_LEVEL, 0, 2)), ("out", OutputGate()))
     loop.add_wire("in", "g1")
     loop.add_wire("g1", "g2")
     loop.add_wire("g2", "g1")
     with pytest.raises(CircuitError, match="'g1'.*cycle"):
-        loop.update("in", 1.0, FreshSource(SEED))
-    with pytest.raises(CircuitError, match="'g1'.*cycle"):
-        CircuitSketch(loop, {1: "in"}, "out", _oracle(0))
+        loop.validate()
 
 
 def test_duplicate_gate_and_unknown_wire():
-    c = Circuit()
+    c = CircuitBuilder()
     c.add_gate("x", InputGate())
     with pytest.raises(ValueError):
         c.add_gate("x", OutputGate())
@@ -195,7 +200,7 @@ def test_flat_circuit_matches_gsampler_seed_for_seed():
         stream = [(rnd.choice(keys), rnd.uniform(0.1, 5.0))
                   for _ in range(rnd.randint(1, 40))]
         oracle = _oracle(1000 + i)
-        circuit = build_flat_circuit({k: FHALF_LEVEL for k in keys}).fork(oracle)
+        circuit = Circuit(build_flat_circuit({k: FHALF_LEVEL for k in keys}), oracle)
         fresh = FreshSource(oracle.seed)
         scalar = GSampler(FHALF_LEVEL, oracle)
         for key, delta in stream:
@@ -208,7 +213,7 @@ def test_flat_circuit_ties_at_infinity_match_gsampler():
     # 1e-310 deltas put every candidate at inf: the first arrival is kept,
     # then the smaller key takes the tie, as in the sampler
     oracle = _oracle(2000)
-    circuit = build_flat_circuit({k: FHALF_LEVEL for k in (1, 0)}).fork(oracle)
+    circuit = Circuit(build_flat_circuit({k: FHALF_LEVEL for k in (1, 0)}), oracle)
     fresh = FreshSource(oracle.seed)
     scalar = GSampler(FHALF_LEVEL, oracle)
     for key in (1, 0):
@@ -228,12 +233,12 @@ def test_edge_sampler_reports_an_edge_after_subnormal_deltas():
 def test_heterogeneous_flat_circuit():
     # frequency weight on key 1 (mass 3), presence weight on key 2 (mass 5):
     # P(key 1) = 3 / (3 + 1)
-    circuit = build_flat_circuit({1: F1_LEVEL, 2: LevelFunction(F0())})
+    plan = build_flat_circuit({1: F1_LEVEL, 2: LevelFunction(F0())})
     hits = 0
     reps = 20_000
     for rep in range(reps):
         oracle = _oracle(40_000 + rep)
-        c = circuit.fork(oracle)
+        c = Circuit(plan, oracle)
         fresh = FreshSource(oracle.seed)
         c.update(("in", 1), 3.0, fresh)
         c.update(("in", 2), 5.0, fresh)
@@ -249,11 +254,11 @@ def test_scalar_gate_halves_rate():
     circuit.add_wire("in", "g")
     circuit.add_wire("g", "half")
     circuit.add_wire("half", "out")
-    assert circuit.validate() is None
+    plan = circuit.validate()
     values = []
     for rep in range(5_000):
         oracle = _oracle(80_000 + rep)
-        c = circuit.fork(oracle)
+        c = Circuit(plan, oracle)
         c.update("in", mass, FreshSource(oracle.seed))
         values.append(c.output("out")[1])
     assert ks_test_exponential(values, 2.0 * mass).passed
@@ -266,7 +271,7 @@ _REFERENCE_LEVELS = (LevelFunction(F0()), F1_LEVEL, FHALF_LEVEL, LevelFunction(L
 def _random_circuit(rnd):
     """A random valid circuit with two output gates, and by hand each input
     gate's wires in declaration order as (operations, output, label)."""
-    c = Circuit()
+    c = CircuitBuilder()
     ids = iter(range(10**6))
     outs = ("o0", "o1")
     for o in outs:
@@ -341,7 +346,7 @@ def _cut_circuit(rnd):
     """A random circuit whose paths end in a log or softcap gate after fhalf
     and scalar gates, fanned in, and by hand each input gate's wires in
     declaration order as (operations, output, label)."""
-    c = Circuit()
+    c = CircuitBuilder()
     c.add_gate("out", OutputGate())
     wires = {"in0": [], "in1": []}
     for gate in wires:
@@ -382,27 +387,28 @@ def _cut_circuit(rnd):
     return c, wires
 
 
-def _check_against_reference(c, wires, oracles, updates):
-    """Run one fork of c per oracle, feed the forks each (input gate, delta)
-    of updates, in turn, and recompute every output of every fork by hand
+def _check_against_reference(plan, wires, oracles, updates):
+    """Run plan once per oracle, feed the runs each (input gate, delta) of
+    updates, in turn, and recompute every output of every run by hand
     after every update: one fresh draw per wire in declaration order,
-    pushed through that wire's gates with seeds drawn under that fork's
-    oracle.  So a seed table shared between forks, or a fork reading
+    pushed through that wire's gates with seeds drawn under that run's
+    oracle, a start value or quotient that underflows to 0 taken as
+    5e-324.  So a seed table shared between runs, or a run reading
     another's oracle, fails.  Returns the finite path thresholds found."""
-    runs = [(c.fork(oracle), oracle, FreshSource(oracle.seed), FreshSource(oracle.seed), {})
-            for oracle in oracles]
+    runs = [(Circuit(plan, oracle), oracle, FreshSource(oracle.seed), FreshSource(oracle.seed),
+             {}) for oracle in oracles]
     cuts = []
     original = Circuit._cut
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(Circuit, "_cut", lambda *args: cuts.append(original(*args)) or cuts[-1])
         for gate, delta in updates:
-            for fork, oracle, fresh, ref_fresh, state in runs:
-                fork.update(gate, delta, fresh)
+            for run, oracle, fresh, ref_fresh, state in runs:
+                run.update(gate, delta, fresh)
                 for ops, out, label in wires[gate]:
-                    value = fresh_exp(ref_fresh) / delta
+                    value = fresh_exp(ref_fresh) / delta or 5e-324
                     for op in ops:
                         if op[0] == "s":
-                            value /= op[1]
+                            value = value / op[1] or 5e-324
                         else:
                             _, level, salt, scope = op
                             salted = OracleHash(oracle.seed, salt)
@@ -411,9 +417,8 @@ def _check_against_reference(c, wires, oracles, updates):
                             value = level.eval(value, u)
                     if out not in state or (value, label) < state[out][::-1]:
                         state[out] = (label, value)
-                for out in fork.output_gate_ids():
-                    assert fork.output(out) == state.get(out)
-    assert all(c.output(out) is None for out in c.output_gate_ids())  # forks run alone
+                for out in run.output_gate_ids():
+                    assert run.output(out) == state.get(out)
     return [y for y in cuts if y < math.inf]
 
 
@@ -421,11 +426,11 @@ def test_propagation_matches_reference():
     for i in range(60):
         rnd = random.Random(i)
         c, wires = _random_circuit(rnd)
-        assert c.validate() is None
+        plan = c.validate()
         gates = [rnd.choice(sorted(wires)) for _ in range(rnd.randint(1, 12))]
         updates = [(gate, 1e-310 if rnd.random() < 0.2 else rnd.uniform(0.1, 5.0))
                    for gate in gates]
-        _check_against_reference(c, wires, (_oracle(600_000 + i), _oracle(700_000 + i)),
+        _check_against_reference(plan, wires, (_oracle(600_000 + i), _oracle(700_000 + i)),
                                  updates)
     # log and softcap gates last after fhalf and scalar gates, under deltas
     # 600 orders of magnitude apart: outputs hold long enough that paths
@@ -437,15 +442,15 @@ def test_propagation_matches_reference():
         updates = [(rnd.choice(sorted(wires)), rnd.choice((1e-300, 1e-3, 1.0, 1e3, 1e300)))
                    for _ in range(40)]
         cuts += len(_check_against_reference(
-            c, wires, (_oracle(800_000 + i), _oracle(900_000 + i)), updates))
+            c.validate(), wires, (_oracle(800_000 + i), _oracle(900_000 + i)), updates))
     assert cuts >= 400
     # a hub: most candidates there cannot change the output and are
     # rejected before any level
     rnd = random.Random(60)
-    c, wires = _hub_edge_sampler()
+    plan, wires = _hub_edge_sampler()
     updates = [(("in", 0) if rnd.random() < 0.3 else rnd.choice(sorted(wires)),
                 1e-310 if rnd.random() < 0.02 else rnd.uniform(0.1, 5.0)) for _ in range(2_000)]
-    assert len(_check_against_reference(c, wires, (_oracle(600_060), _oracle(700_060)),
+    assert len(_check_against_reference(plan, wires, (_oracle(600_060), _oracle(700_060)),
                                         updates)) >= 500
 
 
@@ -453,7 +458,7 @@ def test_hub_paths_are_rejected_before_any_level(monkeypatch):
     # every wire still draws its fresh exponential, but on this degree-26
     # hub the level evaluations per update fall from about 29 to under 1
     import levysketch.circuits as circuits_module
-    c, wires = _hub_edge_sampler()
+    plan, wires = _hub_edge_sampler()
     rnd = random.Random(61)
     gates = [("in", 0) if rnd.random() < 0.3 else rnd.choice(sorted(wires))
              for _ in range(2_000)]
@@ -466,7 +471,7 @@ def test_hub_paths_are_rejected_before_any_level(monkeypatch):
     for rejections in (math.inf, 3):  # never a threshold, then as built
         monkeypatch.setattr(circuits_module, "_REJECTIONS_BEFORE_CUT", rejections)
         evals.clear()
-        run = c.fork(_oracle(600_061))
+        run = Circuit(plan, _oracle(600_061))
         fresh = FreshSource(run.oracle.seed)
         for gate, delta in zip(gates, deltas):
             run.update(gate, delta, fresh)
@@ -501,9 +506,10 @@ def test_softcap_ties_reuse_the_gates_last_level(full_evals):
         updates = [(v, 10.0 ** rnd.uniform(-3.0, 3.0))
                    for v in rnd.choices(range(21), zipf, k=2_000)]
         memo, solving = EdgeSampler(spec, _oracle(seed)), EdgeSampler(spec, _oracle(seed))
-        for gate in solving.circuit.gates.values():
-            if isinstance(gate, GGate):
-                gate.level.step = None  # the gates of this build only
+        for path in (p for paths in solving.plan.paths.values() for p in paths):
+            for _, gate in path[1]:
+                if isinstance(gate, GGate):
+                    gate.level.step = None  # the gates of this build only
         calls, outputs = [], []
         for s in (memo, solving):
             full_evals.clear()
@@ -531,12 +537,12 @@ def test_spec_validation():
 
 
 def test_circuit_sketch_is_the_scalar_sampler_on_a_flat_circuit():
-    circuit = build_flat_circuit({1: FHALF_LEVEL, 2: FHALF_LEVEL})
+    plan = build_flat_circuit({1: FHALF_LEVEL, 2: FHALF_LEVEL})
     inputs = {1: ("in", 1), 2: ("in", 2)}
     stream = [(1, 1.0), (7, 5.0), (2, 3.0), (1, 0.5)]
     for rep in range(20):
-        # one circuit serves every run: a new sketch clears its state
-        sketch = CircuitSketch(circuit, inputs, "out", _oracle(rep))
+        # one plan serves every run: a new sketch starts empty
+        sketch = CircuitSketch(plan, inputs, "out", _oracle(rep))
         scalar = GSampler(FHALF_LEVEL, _oracle(rep))
         for key, delta in stream:
             sketch.update(key, delta)  # key 7 feeds no gate and is ignored
@@ -622,14 +628,14 @@ def test_isolated_vertex_never_sampled():
 
 
 def test_sketches_over_one_circuit_keep_their_own_state():
-    circuit = build_flat_circuit({1: FHALF_LEVEL, 2: FHALF_LEVEL})
+    plan = build_flat_circuit({1: FHALF_LEVEL, 2: FHALF_LEVEL})
     inputs = {1: ("in", 1), 2: ("in", 2)}
-    a = CircuitSketch(circuit, inputs, "out", _oracle(1))
+    a = CircuitSketch(plan, inputs, "out", _oracle(1))
     a.update(1, 1.0)
     first = a.query()
     assert first is not None
-    # a second sketch on the same circuit starts empty and leaves a alone
-    b = CircuitSketch(circuit, inputs, "out", _oracle(2))
+    # a second sketch on the same plan starts empty and leaves a alone
+    b = CircuitSketch(plan, inputs, "out", _oracle(2))
     assert b.query() is None
     assert a.query() == first
     scalars = (GSampler(FHALF_LEVEL, _oracle(1)), GSampler(FHALF_LEVEL, _oracle(2)))
@@ -640,7 +646,6 @@ def test_sketches_over_one_circuit_keep_their_own_state():
             scalar.update(key, delta)
             assert sketch.query() == scalar.query()
     assert a.query() != b.query()
-    assert circuit.output("out") is None  # the circuit itself runs nothing
 
 
 def test_circuit_sketch_checks_updates_like_the_samplers():
@@ -660,15 +665,15 @@ def test_circuit_sketch_checks_updates_like_the_samplers():
 
 
 def test_sketch_forks_replay_one_compiled_circuit():
-    # a fork runs the same compiled circuit under its own oracle, from
-    # empty, bit for bit as a sketch built for that oracle
+    # a fork runs the same plan under its own oracle, from empty, bit for
+    # bit as a sketch built for that oracle
     spec = EdgeSamplerSpec((1, 2, 3, 4), ((1, 2), (2, 3), (1, 3, 4)))
     template = EdgeSampler(spec, _oracle(10))
     template.update(1, 2.0)
     before = template.query()
     for rep in range(30):
         fork = template.fork(_oracle(1_000 + rep))
-        assert fork.circuit.gates is template.circuit.gates
+        assert fork.plan is template.plan
         assert fork.query() is None
         built = EdgeSampler(spec, _oracle(1_000 + rep))
         for v, m in ((1, 1.0), (4, 0.5), (2, 3.0), (3, 0.25), (1, 1e-310)):
@@ -679,34 +684,53 @@ def test_sketch_forks_replay_one_compiled_circuit():
     assert template.query() == before
 
 
-def test_a_fork_refuses_to_be_built_on():
-    # a fork shares its gates and wires with its template, so an edit made
-    # through it would reach the template's gates but not its compiled paths
-    template = build_flat_circuit({1: F1_LEVEL, 2: F1_LEVEL})
-    gates, labels = dict(template.gates), dict(template.labels)
-    wires = ({g: list(w) for g, w in template._succ.items()},
-             {g: list(w) for g, w in template._pred.items()})
+def test_a_plan_does_not_see_later_edits():
+    # validate compiles the builder as it stands: runs of that plan replay
+    # the same outputs after the builder gains a gate and a wire, and only
+    # a fresh validate sees them
+    builder = _chain(("out", OutputGate()), ("in", InputGate()),
+                     ("g", GGate(F1_LEVEL, 0, 1)), ("in2", InputGate()))
+    for src, dst in (("in", "g"), ("g", "out"), ("in2", "out")):
+        builder.add_wire(src, dst)
+    plan = builder.validate()
 
-    def run(circuit):
-        fresh = FreshSource(circuit.oracle.seed)
-        for key, delta in ((1, 2.0), (2, 0.5), (1, 1.0)):
-            circuit.update(("in", key), delta, fresh)
-        return circuit.output("out")
+    def run(plan, i):
+        c = Circuit(plan, _oracle(i))
+        fresh = FreshSource(c.oracle.seed)
+        for gate, delta in (("in", 2.0), ("in2", 0.5), ("in", 1.0)):
+            c.update(gate, delta, fresh)
+        return [c.output(out) for out in c.output_gate_ids()], fresh.counter
 
-    before = run(template.fork(_oracle(3)))
-    fork = template.fork(_oracle(4))
-    for circuit in (fork, fork.fork(_oracle(5))):
-        for edit in (lambda: circuit.add_gate("x", OutputGate()),
-                     lambda: circuit.add_gate(("in", 3), InputGate()),
-                     lambda: circuit.add_wire(("in", 3), "x"),
-                     lambda: circuit.add_wire(("in", 1), "out")):
-            with pytest.raises(ValueError, match="fork"):
-                edit()
-    assert template.gates == gates and template.labels == labels
-    assert (template._succ, template._pred) == wires
-    assert template.output_gate_ids() == ["out"]
-    assert run(template.fork(_oracle(3))) == before
-    assert run(fork) == run(template.fork(_oracle(4)))
+    before = [run(plan, i) for i in range(3, 8)]
+    builder.add_gate("x", OutputGate())
+    builder.add_wire("in", "x")
+    assert [run(plan, i) for i in range(3, 8)] == before
+    assert plan.outputs == ("out",) and len(plan.paths["in"]) == 1
+    edited = builder.validate()
+    assert edited.outputs == ("out", "x") and len(edited.paths["in"]) == 2
+    assert all(run(edited, i)[1] == 5 for i in range(3, 8))
+
+
+def test_a_scalar_quotient_that_underflows_is_clamped():
+    # 1e308 puts a start value near 1e-308, and dividing by 1e17 rounds it
+    # to 0.0, which no G-gate takes: the quotient becomes 5e-324 instead,
+    # as an underflowing start value does; on the path to the log gate the
+    # threshold's forward value is clamped the same way, and certifies
+    c = _chain(("out", OutputGate()), ("in", InputGate()), ("s1", ScalarGate(1e17)),
+               ("f1", GGate(F1_LEVEL, 0, 1)), ("s2", ScalarGate(1e17)),
+               ("log", GGate(LevelFunction(Log()), 1, 2)))
+    for src, dst in (("in", "s1"), ("s1", "f1"), ("f1", "out"),
+                     ("in", "s2"), ("s2", "log"), ("log", "out")):
+        c.add_wire(src, dst)
+    wires = {"in": [([("s", 1e17), ("g", F1_LEVEL, 0, 1)], "out", "f1"),
+                    ([("s", 1e17), ("g", LevelFunction(Log()), 1, 2)], "out", "log")]}
+    rnd, cuts = random.Random(5), 0
+    for i in range(50):
+        updates = [("in", 1e308)] + [("in", rnd.choice((1e308, 1e300, 1.0, 1e-3)))
+                                     for _ in range(rnd.randint(0, 20))]
+        cuts += len(_check_against_reference(c.validate(), wires, (_oracle(950_000 + i),),
+                                             updates))
+    assert cuts >= 40  # 47
 
 
 def test_scalar_gate_rejects_non_finite_alpha():
@@ -719,7 +743,7 @@ def _directed_pair_circuit():
     """Two vertices u=1, v=2; directed pair (s, t) weighted
     sqrt(x(s)) + log(1 + x(t)), one sqrt and one log gate per direction."""
     log_level = LevelFunction(Log())
-    c = Circuit()
+    c = CircuitBuilder()
     c.add_gate("out", OutputGate())
     for s, t in ((1, 2), (2, 1)):
         label = (s, t)
@@ -737,8 +761,7 @@ def _directed_pair_circuit():
         other = 2 if v == 1 else 1
         c.add_wire(("in", v), ("sqrt", v, other))
         c.add_wire(("in", v), ("log", other, v))
-    assert c.validate() is None
-    return c
+    return c.validate()
 
 
 def test_asymmetric_directed_pairs():
@@ -750,10 +773,10 @@ def test_asymmetric_directed_pairs():
                               (w12 / (w12 + w21), w21 / (w12 + w21)))
     counts = Counter()
     reps = 20_000
-    circuit = _directed_pair_circuit()
+    plan = _directed_pair_circuit()
     for rep in range(reps):
         oracle = _oracle(500_000 + rep)
-        c = circuit.fork(oracle)
+        c = Circuit(plan, oracle)
         fresh = FreshSource(oracle.seed)
         for v in sorted(masses):
             c.update(("in", v), masses[v], fresh)

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import levysketch.circuits as circuits_module
 import levysketch.samplers as samplers_module
-from levysketch.circuits import build_flat_circuit
+from levysketch.circuits import Circuit, build_flat_circuit
 from levysketch.level import (
     CATALOGUE,
     F0,
@@ -104,7 +104,7 @@ def test_a_start_value_that_underflows_is_clamped(monkeypatch):
         level, oracle = LevelFunction(g), _oracle(900 + i)
         sketches = (GSampler(level, oracle), ParetoSampler(oracle),
                     WorSampler(2, level, oracle), KParetoSampler(2, oracle))
-        circuit = build_flat_circuit({3: level}).fork(oracle)
+        circuit = Circuit(build_flat_circuit({3: level}), oracle)
         for s in sketches:
             s.update(3, 1.7e308)
             assert deserialize(s.to_bytes(), level).to_bytes() == s.to_bytes()
