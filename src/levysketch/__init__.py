@@ -32,7 +32,7 @@ from .samplers import (
     deserialize,
     replay,
 )
-from .circuits import EdgeSampler, EdgeSamplerSpec, build_edge_sampler
+from .circuits import Circuit, EdgeSampler, EdgeSamplerSpec, build_edge_sampler
 from .oracle import edge_weight
 
 __version__ = "0.1.0"

@@ -5,8 +5,9 @@ when independent signals are min-combined, divide under scalar division, and
 map through G when pushed through a level function.  A circuit wires those
 three operations into a DAG:
 
-* input gates receive the update stream; on each update they emit a fresh
-  Exp(1)/delta value per outgoing wire,
+* input gates receive the update stream, each the updates of one 64-bit
+  key; on each update they emit a fresh Exp(1)/delta value per outgoing
+  wire,
 * scalar gates divide by a constant,
 * G-gates apply a level function with a per-gate uniform seed U,
 * output gates fold arriving values with min and remember which wire the
@@ -16,11 +17,14 @@ Scalar and G gates must have exactly one successor, which is what keeps the
 values arriving at any gate over different wires independent.  So a value
 leaving an input gate on one wire runs along one path of gates to one output
 gate.  A `CircuitBuilder` collects gates and wires; its `validate` compiles
-those paths once into an immutable `CircuitPlan` (or raises `CircuitError`),
-and each `Circuit(plan, oracle)` is one run of it.  A run owns its oracle,
-the G-gate seeds drawn under it and the output gates' pairs; only those
-pairs carry information between updates, so a whole circuit costs two words
-per output gate.
+those paths once, keyed by the input gates' keys, into an immutable
+`CircuitPlan` (or raises `CircuitError`).  Each `Circuit(plan, oracle)` is
+one run of it and a sketch like the samplers: update(key, delta) and
+query().  A run owns its oracle, its fresh source, the G-gate seeds drawn
+under the oracle and the output gates' pairs; only those pairs carry
+information between updates, so a whole circuit costs two words per output
+gate.  One compiled plan serves any number of runs: `partial(Circuit,
+plan)` is a `build` for samplers.replay.
 
 Most candidates cannot change their output, and a path is rejected before
 any level.  Every gate is monotone in its input, so once a path has
@@ -61,7 +65,6 @@ __all__ = [
     "CircuitBuilder",
     "CircuitPlan",
     "Circuit",
-    "CircuitSketch",
     "EdgeSampler",
     "EdgeSamplerSpec",
     "build_edge_sampler",
@@ -79,7 +82,14 @@ SALT_EDGE_LOG = 3
 
 @dataclass(frozen=True)
 class InputGate:
-    """Receives updates; emits a fresh Exp(1)/delta per outgoing wire."""
+    """Receives the updates of one 64-bit key; emits a fresh Exp(1)/delta
+    per outgoing wire."""
+
+    key: int
+
+    def __post_init__(self) -> None:
+        if not (isinstance(self.key, int) and 0 <= self.key < 1 << 64):
+            raise ValueError(f"input gate key must be an int in [0, 2^64), got {self.key!r}")
 
 
 @dataclass(frozen=True)
@@ -204,6 +214,8 @@ class CircuitBuilder:
                 continue
             if not self._succ[gate_id]:
                 raise CircuitError(gate_id, "gate cannot reach an output gate")
+            if gate.key in paths:
+                raise CircuitError(gate_id, f"another input gate has key {gate.key}")
             wires = []
             for dst in self._succ[gate_id]:
                 chain = [gate_id] + self._chain(dst)
@@ -214,7 +226,7 @@ class CircuitBuilder:
                 wires.append((number, passed, chain[-1],
                               self.labels.get(chain[-2], chain[-2]), last_g, scale))
                 number += 1
-            paths[gate_id] = tuple(wires)
+            paths[gate.key] = tuple(wires)
         outputs = tuple(g for g, gate in self.gates.items() if isinstance(gate, OutputGate))
         return CircuitPlan(paths, outputs)
 
@@ -233,8 +245,8 @@ class CircuitBuilder:
 
 @dataclass(frozen=True)
 class CircuitPlan:
-    """A validated circuit, compiled: `paths` maps each input gate to its
-    wires' paths in declaration order, each (path number, (gate id, gate)
+    """A validated circuit, compiled: `paths` maps each input gate's key to
+    its wires' paths in declaration order, each (path number, (gate id, gate)
     per gate passed, output gate, label reported, index of the last G-gate
     passed, product of the alphas after it); `outputs` holds the output
     gate ids in declaration order.  Any number of runs share one plan."""
@@ -251,13 +263,15 @@ _REJECTIONS_BEFORE_CUT = 3
 
 
 class Circuit:
-    """One run of a plan under `oracle`: the G-gate seeds drawn under it,
-    the path thresholds and softcap levels found so far, and the output
-    gates' pairs, every output gate empty at the start."""
+    """One run of a plan under `oracle`, a sketch of the stream: its fresh
+    source, the G-gate seeds drawn under the oracle, the path thresholds
+    and softcap levels found so far, and the output gates' pairs, every
+    output gate empty at the start."""
 
     def __init__(self, plan: CircuitPlan, oracle: OracleHash = OracleHash()) -> None:
         self.plan = plan
         self.oracle = oracle
+        self.fresh = FreshSource(oracle.seed)
         self._units: dict = {}  # G-gate id -> seed U under self.oracle
         self._memo: dict = {}  # G-gate id -> (step of a, level) last solved
         # per path number: its threshold y* (inf until computed), the output
@@ -266,11 +280,13 @@ class Circuit:
         self._cuts = [math.inf] * n, [None] * n, [0] * n
         self._out_state = dict.fromkeys(plan.outputs, (None, math.inf))
 
-    def update(self, input_gate, delta: float, rng: FreshSource) -> None:
-        """Process one update arriving at an input gate.
+    def update(self, key: int, delta: float) -> None:
+        """Process one update x(key) += delta.
 
-        Each outgoing wire, in declaration order, draws Exp(1)/delta and
-        carries it along its path to its output gate; a start value or a
+        The pair is checked by the samplers' rule; a key with no input gate
+        then changes nothing.  Each outgoing wire of the key's input gate,
+        in declaration order, draws Exp(1)/delta from self.fresh and carries
+        it along its path to its output gate; a start value or a
         scalar gate's quotient that underflows to 0 becomes the least
         positive double.  A path whose last G-gate has rejected three values
         under the output's current value gets a threshold y* on the starting
@@ -280,13 +296,13 @@ class Circuit:
         the output, and a softcap gate whose jump count repeats reuses its
         last level.  G-gate seeds come from this run's oracle.  Only
         output-gate state carries information between updates.  ValueError
-        unless input_gate is an input gate and 0 < delta < inf.
+        unless key is an int in [0, 2^64) and 0 < delta < inf.
         """
-        paths = self.plan.paths.get(input_gate)
+        check_update(key, delta)
+        paths = self.plan.paths.get(key)
         if paths is None:
-            raise ValueError(f"{input_gate!r} is not an input gate")
-        if not (0 < delta < math.inf):
-            raise ValueError(f"delta must be positive and finite, got {delta}")
+            return
+        rng = self.fresh
 
         units, memo, out_state = self._units, self._memo, self._out_state
         cut_y, cut_h, cut_n = self._cuts
@@ -361,6 +377,11 @@ class Circuit:
     def output_gate_ids(self) -> list:
         return list(self._out_state)
 
+    def query(self) -> Optional[tuple[object, float]]:
+        """The first declared output gate's pair, as output gives it; None
+        for a plan without output gates, which has no input gates either."""
+        return self.output(self.plan.outputs[0]) if self.plan.outputs else None
+
 
 def build_flat_circuit(weights_by_key: dict[int, LevelFunction]) -> CircuitPlan:
     """One input gate and one G-gate per key, all feeding one output gate.
@@ -372,7 +393,7 @@ def build_flat_circuit(weights_by_key: dict[int, LevelFunction]) -> CircuitPlan:
     c = CircuitBuilder()
     c.add_gate("out", OutputGate())
     for key in weights_by_key:
-        c.add_gate(("in", key), InputGate())
+        c.add_gate(("in", key), InputGate(key))
         c.add_gate(("g", key), GGate(weights_by_key[key], 0, key),
                    label=key)
         c.add_wire(("in", key), ("g", key))
@@ -449,7 +470,7 @@ def build_edge_sampler(spec: EdgeSamplerSpec) -> CircuitPlan:
     # never influence any edge's weight
     for v in spec.vertices:
         if v in connected:
-            c.add_gate(("in", v), InputGate())
+            c.add_gate(("in", v), InputGate(v))
     for e in edges:
         scope = _scope(*e)
         c.add_gate(("softcap", e), GGate(softcap_level, SALT_EDGE_SOFTCAP, scope))
@@ -470,43 +491,9 @@ def build_edge_sampler(spec: EdgeSamplerSpec) -> CircuitPlan:
     return c.validate()
 
 
-class CircuitSketch:
-    """A circuit as a sketch: update(key, delta) checks the pair by the
-    samplers' rule, then feeds the key's input gate, if any (a key without
-    one cannot change an output), and query() is one output gate's
-    (identifier, value).  Each sketch is its own run of the plan under its
-    oracle, so one compiled plan serves any number of sketches, at once or
-    in turn; `fork(oracle)` starts another one from empty."""
-
-    def __init__(self, plan: CircuitPlan, inputs: dict, output_id,
-                 oracle: OracleHash = OracleHash()):
-        self.plan = plan
-        self.circuit = Circuit(plan, oracle)
-        self.inputs = inputs
-        self.output_id = output_id
-        self.oracle = oracle
-        self.fresh = FreshSource(oracle.seed)
-
-    def fork(self, oracle: OracleHash = OracleHash()) -> "CircuitSketch":
-        """A sketch over the same plan and inputs, run under `oracle` from
-        empty."""
-        return CircuitSketch(self.plan, self.inputs, self.output_id, oracle)
-
-    def update(self, key: int, delta: float) -> None:
-        check_update(key, delta)
-        gate = self.inputs.get(key)
-        if gate is not None:
-            self.circuit.update(gate, delta, self.fresh)
-
-    def query(self) -> Optional[tuple[object, float]]:
-        return self.circuit.output(self.output_id)
-
-
-class EdgeSampler(CircuitSketch):
-    """The edge-sampling circuit as a sketch over vertex updates; an isolated
+class EdgeSampler(Circuit):
+    """A run of the edge-sampling circuit over vertex updates; an isolated
     vertex has no input gate, so its updates are checked and change nothing."""
 
     def __init__(self, spec: EdgeSamplerSpec, oracle: OracleHash = OracleHash()):
-        plan = build_edge_sampler(spec)
-        inputs = {v: ("in", v) for v in spec.vertices if ("in", v) in plan.paths}
-        super().__init__(plan, inputs, "out", oracle)
+        super().__init__(build_edge_sampler(spec), oracle)

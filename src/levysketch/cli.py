@@ -32,10 +32,11 @@ import struct
 import sys
 from collections import Counter
 from dataclasses import dataclass
+from functools import partial
 from typing import Iterator, Optional
 
-from .circuits import CircuitBuilder, CircuitError, CircuitPlan, CircuitSketch, EdgeSampler, \
-    EdgeSamplerSpec, GGate, InputGate, OutputGate, ScalarGate, build_edge_sampler
+from .circuits import Circuit, CircuitBuilder, CircuitError, CircuitPlan, EdgeSamplerSpec, GGate, \
+    InputGate, OutputGate, ScalarGate, build_edge_sampler
 from .level import LevelFunction, parse_weight
 from .oracle import UndersampledError, chi_square_gof, exact_edge_distribution
 from .randomness import DEFAULT_SEED, FreshSource, key_for_string, parse_seed
@@ -135,17 +136,11 @@ def _graph_spec(edges: list[tuple[int, ...]], source: str) -> EdgeSamplerSpec:
         raise StreamParseError(f"{source}: {exc}") from None
 
 
-@dataclass
-class LoadedCircuit:
-    """A compiled circuit plus the stream-token to input-gate mapping."""
-
-    plan: CircuitPlan
-    input_by_token: dict
-
-
-def load_circuit_file(text: str, source: str = "<circuit>") -> LoadedCircuit:
-    """Parse the line-oriented circuit format: ``gate <id> kind``,
-    ``wire <from> <to>``, or ``graph-edge <u> <v>`` shorthand."""
+def load_circuit_file(text: str, seed: bytes, source: str = "<circuit>") -> CircuitPlan:
+    """Compile the line-oriented circuit format: ``gate <id> kind``,
+    ``wire <from> <to>``, or ``graph-edge <u> <v>`` shorthand.  An input
+    gate takes the stream key its id reads as under `seed`, as a stream
+    line's key token does; a graph-edge vertex takes its own id."""
     gate_lines = []
     wire_lines = []
     edge_lines = []
@@ -162,13 +157,12 @@ def load_circuit_file(text: str, source: str = "<circuit>") -> LoadedCircuit:
         if gate_lines or wire_lines:
             raise StreamParseError(
                 f"{source}: graph-edge shorthand cannot be mixed with explicit gates")
-        spec = _graph_spec(edge_lines, source)
-        return LoadedCircuit(build_edge_sampler(spec), {str(v): ("in", v) for v in spec.vertices})
+        return build_edge_sampler(_graph_spec(edge_lines, source))
     c = CircuitBuilder()
     for lineno, gate_id, kind in gate_lines:
         try:
             if kind == "input":
-                c.add_gate(gate_id, InputGate())
+                c.add_gate(gate_id, InputGate(_key_id(gate_id, seed)))
             elif kind == "output":
                 c.add_gate(gate_id, OutputGate())
             elif kind.startswith("scalar:"):
@@ -186,10 +180,9 @@ def load_circuit_file(text: str, source: str = "<circuit>") -> LoadedCircuit:
         except ValueError as exc:
             raise StreamParseError(f"{source}:{lineno}: {exc}") from None
     try:
-        plan = c.validate()
+        return c.validate()
     except CircuitError as exc:
         raise StreamParseError(f"{source}: {exc}") from None
-    return LoadedCircuit(plan, {g: g for g in plan.paths})
 
 
 def _record_source(rep_seed: bytes, key: int, delta: float, occurrence: int) -> FreshSource:
@@ -246,32 +239,26 @@ def _summary(values: list[float]) -> Optional[dict]:
     }
 
 
-def _circuit_parts(circuit_text: Optional[str], records: list[StreamRecord]) -> tuple:
-    """(plan, stream id -> input gate, first output gate) of a circuit file:
-    each stream key feeds the input gate named by its token."""
+def _circuit_plan(circuit_text: Optional[str], seed: bytes,
+                  records: list[StreamRecord]) -> CircuitPlan:
+    """The plan of a circuit file with an output gate and an input gate for
+    every stream key."""
     if circuit_text is None:
         raise ValueError("circuit sketch requires the circuit spec file")
-    loaded = load_circuit_file(circuit_text)
-    out_ids = loaded.plan.outputs
-    if not out_ids:
+    plan = load_circuit_file(circuit_text, seed)
+    if not plan.outputs:
         raise ValueError("circuit has no output gate")
-    gate_of: dict[int, object] = {}
     for r in records:
-        gate_id = loaded.input_by_token.get(r.display)
-        if gate_id is None:
+        if r.key not in plan.paths:
             raise ValueError(f"stream key {r.display!r} has no input gate in the circuit")
-        if gate_of.setdefault(r.key, gate_id) != gate_id:
-            raise ValueError(
-                f"stream key {r.display!r} shares id {r.key} with a key "
-                "that feeds another input gate")
-    return loaded.plan, gate_of, out_ids[0]
+    return plan
 
 
 def _first(out) -> tuple[list, Optional[float]]:
     return ([], None) if out is None else ([out[0]], out[1])
 
 
-# kind -> (what follows "<kind>:", make(k, level, circuit parts, oracle),
+# kind -> (what follows "<kind>:", make(k, level, circuit plan, oracle),
 #          outcome(sketch, level) -> (sampled keys in order, value or None))
 _KINDS = {
     "gsampler": (None, lambda k, level, _, oracle: GSampler(level, oracle),
@@ -282,7 +269,7 @@ _KINDS = {
             lambda s, level: (s.sample_ordered(), None)),
     "kpareto": ("k", lambda k, level, _, oracle: KParetoSampler(k, oracle),
                 lambda s, level: (s.query(level), None)),
-    "circuit": ("file", lambda k, level, parts, oracle: CircuitSketch(*parts, oracle),
+    "circuit": ("file", lambda k, level, plan, oracle: Circuit(plan, oracle),
                 lambda s, level: _first(s.query())),
 }
 
@@ -305,10 +292,10 @@ def cmd_sample(config: RunConfig, records: list[StreamRecord],
     display_of = {}
     for r in records:
         display_of.setdefault(r.key, r.display)
-    parts = _circuit_parts(circuit_text, records) if takes == "file" else None
+    plan = _circuit_plan(circuit_text, config.seed, records) if takes == "file" else None
 
     def build(oracle):
-        sketch = make(k, level, parts, oracle)
+        sketch = make(k, level, plan, oracle)
         return sketch if config.attach_randomness == "position" else _RecordAttached(sketch)
 
     counts: Counter = Counter()
@@ -371,7 +358,8 @@ def cmd_edge_sample(graph_text: str, records: list[StreamRecord],
         masses[r.key] = masses.get(r.key, 0.0) + r.delta
     stream = [(r.key, r.delta) for r in records]
     # one compiled plan serves every rep: each rep is a run of it
-    for sampler in replay(EdgeSampler(spec).fork, stream, config.reps, config.seed):
+    for sampler in replay(partial(Circuit, build_edge_sampler(spec)), stream, config.reps,
+                          config.seed):
         out = sampler.query()
         if out is None:
             empty += 1

@@ -303,6 +303,12 @@ def eval_log(a: float, b: float) -> float:
     return solve_monotone_increasing(f, b, max(a, 1.0))
 
 
+def _test_point(coeff: float, b: float, bound: float) -> tuple[float, float]:
+    """The (w, target) of _above's forward test at b under bound."""
+    w = coeff * bound
+    return w + 1e3 * stop_width(w), b - 2.0 * residual(b)
+
+
 def _above(forward, param, coeff, a, b, bound) -> bool:
     """True when one forward value proves a lone part's level above bound.
 
@@ -315,9 +321,8 @@ def _above(forward, param, coeff, a, b, bound) -> bool:
     is never rejected.
     """
     _check_domain(a, b)
-    w = coeff * bound
-    w += 1e3 * stop_width(w)
-    return forward(param, a, w) < b - 2.0 * residual(b)
+    w, target = _test_point(coeff, b, bound)
+    return forward(param, a, w) < target
 
 
 # The certificate's margin on one forward value.  It covers the forward
@@ -325,12 +330,6 @@ def _above(forward, param, coeff, a, b, bound) -> bool:
 # relative on one-ulp steps up in a, and where it is at least 1e-20, below
 # any target a seed sets, a test bounds its rise below SLACK / 10.
 SLACK = 1e-9
-
-
-def _test_point(coeff: float, b: float, bound: float) -> tuple[float, float]:
-    """The (w, target) of _above's forward test at b under bound."""
-    w = coeff * bound
-    return w + 1e3 * stop_width(w), b - 2.0 * residual(b)
 
 
 def _fewest_jumps(w: float, target: float) -> float:

@@ -81,9 +81,9 @@ _K_LIMIT = 1 << 32  # frames store k in 32 bits
 
 
 def check_update(key: int, delta: float) -> None:
-    """ValueError unless key is in [0, 2^64) and 0 < delta < inf."""
-    if not (0 <= key < _KEY_LIMIT):
-        raise ValueError(f"key must lie in [0, 2^64), got {key}")
+    """ValueError unless key is an int in [0, 2^64) and 0 < delta < inf."""
+    if not (isinstance(key, int) and 0 <= key < _KEY_LIMIT):
+        raise ValueError(f"key must be an int in [0, 2^64), got {key!r}")
     if not (0 < delta < math.inf):
         raise ValueError(f"delta must be positive and finite, got {delta}")
 
@@ -435,6 +435,8 @@ class KParetoSampler:
 
 
 def _check_mergeable(a, b) -> None:
+    if type(a) is not type(b):
+        raise ValueError(f"cannot merge a {type(b).__name__} into a {type(a).__name__}")
     if a.oracle.seed != b.oracle.seed or a.oracle.salt != b.oracle.salt:
         raise ValueError("cannot merge sketches built with different seeds")
     if hasattr(a, "level") and a.level.weight != b.level.weight:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Optional
 
-from .circuits import CircuitSketch, EdgeSampler, EdgeSamplerSpec, build_flat_circuit
+from .circuits import Circuit, EdgeSamplerSpec, build_edge_sampler, build_flat_circuit
 from .level import (
     CATALOGUE,
     F0,
@@ -359,7 +359,7 @@ def check_edge_sampling(seed: bytes, params: VerifyParams) -> list[CheckResult]:
     """Edge frequencies on the triangle must match the closed-form weight
     ratios, and the stored value must be Exp(total edge weight)."""
     exact = exact_edge_distribution(_TRIANGLE.edges, _TRIANGLE_MASSES)
-    counts, values = _tally(replay(EdgeSampler(_TRIANGLE).fork,
+    counts, values = _tally(replay(partial(Circuit, build_edge_sampler(_TRIANGLE)),
                                    sorted(_TRIANGLE_MASSES.items()), params.edge_reps, seed))
     alpha = SIGNIFICANCE / 2
     chi = chi_square_gof(counts, exact, alpha)
@@ -380,7 +380,7 @@ def check_hyperedge_sampling(seed: bytes, params: VerifyParams) -> list[CheckRes
     spec = EdgeSamplerSpec((1, 2, 3, 4), ((1, 2, 3), (2, 3, 4)))
     masses = {1: 1.0, 2: 2.0, 3: 3.0, 4: 0.5}
     exact = exact_edge_distribution(spec.edges, masses)
-    counts, _ = _tally(replay(EdgeSampler(spec).fork, sorted(masses.items()),
+    counts, _ = _tally(replay(partial(Circuit, build_edge_sampler(spec)), sorted(masses.items()),
                               params.hyperedge_reps, seed))
     chi = chi_square_gof(counts, exact, SIGNIFICANCE)
     return [CheckResult("circuits/hyperedge-law/arity-3", chi.passed,
@@ -398,8 +398,7 @@ def check_flat_equivalence(seed: bytes, params: VerifyParams) -> list[CheckResul
         stream = [(rnd.choice(keys), rnd.uniform(0.1, 5.0))
                   for _ in range(rnd.randint(1, 40))]
         oracle = OracleHash(derive_seed(seed, i))
-        circuit = CircuitSketch(build_flat_circuit({k: level for k in keys}),
-                                {k: ("in", k) for k in keys}, "out", oracle)
+        circuit = Circuit(build_flat_circuit({k: level for k in keys}), oracle)
         scalar = GSampler(level, oracle)
         for key, delta in stream:
             circuit.update(key, delta)
@@ -418,9 +417,7 @@ def check_heterogeneous_flat(seed: bytes, params: VerifyParams) -> list[CheckRes
     masses = {1: 3.0, 2: 5.0}
     # F1 contributes 3, F0 contributes 1
     exact = ExactDistribution((1, 2), (0.75, 0.25))
-    circuit = build_flat_circuit(weights)
-    inputs = {key: ("in", key) for key in weights}
-    counts, _ = _tally(replay(partial(CircuitSketch, circuit, inputs, "out"),
+    counts, _ = _tally(replay(partial(Circuit, build_flat_circuit(weights)),
                               sorted(masses.items()), params.hetero_reps, seed))
     chi = chi_square_gof(counts, exact, SIGNIFICANCE)
     return [CheckResult("circuits/heterogeneous-flat", chi.passed,

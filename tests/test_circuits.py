@@ -5,6 +5,7 @@ import random
 import struct
 from collections import Counter
 from dataclasses import FrozenInstanceError
+from functools import partial
 
 import pytest
 
@@ -16,7 +17,6 @@ from levysketch.circuits import (
     CircuitBuilder,
     CircuitError,
     CircuitPlan,
-    CircuitSketch,
     EdgeSampler,
     EdgeSamplerSpec,
     GGate,
@@ -73,11 +73,11 @@ def _violation(c: CircuitBuilder) -> tuple:
 def test_flat_circuit_validates():
     plan = build_flat_circuit({1: F1_LEVEL, 2: F1_LEVEL})
     assert isinstance(plan, CircuitPlan) and plan.outputs == ("out",)
-    assert list(plan.paths) == [("in", 1), ("in", 2)]
+    assert list(plan.paths) == [1, 2]  # keyed by the input gates' keys
 
 
 def test_ggate_two_successors_violation():
-    c = _chain(("in", InputGate()), ("g", GGate(F1_LEVEL, 0, 1)),
+    c = _chain(("in", InputGate(1)), ("g", GGate(F1_LEVEL, 0, 1)),
                ("o1", OutputGate()), ("o2", OutputGate()))
     c.add_wire("in", "g")
     c.add_wire("g", "o1")
@@ -93,7 +93,7 @@ def test_cycle_violation():
 
 
 def test_scalar_arity_violations():
-    c = _chain(("in", InputGate()), ("s", ScalarGate(2.0)), ("out", OutputGate()))
+    c = _chain(("in", InputGate(1)), ("s", ScalarGate(2.0)), ("out", OutputGate()))
     c.add_wire("in", "s")
     # no successor
     assert _violation(c) == ("s", "scalar gate must have exactly 1 successor, has 0")
@@ -104,23 +104,40 @@ def test_scalar_arity_violations():
 
 
 def test_output_with_successor_violation():
-    c = _chain(("in", InputGate()), ("out", OutputGate()), ("s", ScalarGate(1.0)))
+    c = _chain(("in", InputGate(1)), ("out", OutputGate()), ("s", ScalarGate(1.0)))
     c.add_wire("out", "s")
     assert _violation(c) == ("out", "output gate has a successor")
 
 
 def test_unreachable_gate_violation():
-    c = _chain(("in", InputGate()), ("g", GGate(F1_LEVEL, 0, 1)),
-               ("out", OutputGate()), ("stray", InputGate()))
+    c = _chain(("in", InputGate(1)), ("g", GGate(F1_LEVEL, 0, 1)),
+               ("out", OutputGate()), ("stray", InputGate(2)))
     c.add_wire("in", "g")
     c.add_wire("g", "out")
     assert _violation(c) == ("stray", "gate cannot reach an output gate")
 
 
 def test_input_with_predecessor_violation():
-    c = _chain(("a", InputGate()), ("b", InputGate()))
+    c = _chain(("a", InputGate(1)), ("b", InputGate(2)))
     c.add_wire("a", "b")
     assert _violation(c) == ("b", "input gate has a predecessor")
+
+
+def test_two_input_gates_on_one_key_violation():
+    # a key feeds one input gate, so plan.paths can be keyed by it
+    c = _chain(("a", InputGate(7)), ("out", OutputGate()), ("b", InputGate(7)))
+    c.add_wire("a", "out")
+    c.add_wire("b", "out")
+    assert _violation(c) == ("b", "another input gate has key 7")
+
+
+def test_input_gate_key_must_be_a_64_bit_int():
+    for bad in (None, "1", 1.5, (1,), -1, 1 << 64):
+        with pytest.raises(ValueError, match="input gate key"):
+            InputGate(bad)
+    gate = InputGate((1 << 64) - 1)  # frozen, so a plan's keys stay as validated
+    with pytest.raises(FrozenInstanceError):
+        gate.key = 0
 
 
 def test_flat_circuit_of_a_sum_matches_gsampler():
@@ -131,11 +148,10 @@ def test_flat_circuit_of_a_sum_matches_gsampler():
         keys = list(range(rnd.randint(1, 8)))
         oracle = _oracle(3000 + i)
         circuit = Circuit(build_flat_circuit({k: level for k in keys}), oracle)
-        fresh = FreshSource(oracle.seed)
         scalar = GSampler(level, oracle)
         for _ in range(rnd.randint(1, 40)):
             key, delta = rnd.choice(keys), rnd.uniform(0.1, 5.0)
-            circuit.update(("in", key), delta, fresh)
+            circuit.update(key, delta)
             scalar.update(key, delta)
         assert circuit.output("out") == scalar.query()
 
@@ -152,15 +168,15 @@ def test_ggate_scope_must_be_a_key_or_bytes():
 
 def test_update_errors():
     c = Circuit(build_flat_circuit({1: F1_LEVEL}), _oracle(0))
-    fs = FreshSource(SEED)
-    with pytest.raises(ValueError):
-        c.update("nope", 1.0, fs)
-    with pytest.raises(ValueError):
-        c.update(("g", 1), 1.0, fs)  # not an input gate
+    for key in ("nope", ("in", 1), 1.0, -1, 1 << 64):  # gate ids are not keys
+        with pytest.raises(ValueError, match="key must be an int"):
+            c.update(key, 1.0)
     for bad in (0.0, -1.0, math.inf, math.nan):
         with pytest.raises(ValueError, match="delta must be positive and finite"):
-            c.update(("in", 1), bad, fs)
-    assert fs.counter == 0  # rejected before drawing randomness
+            c.update(1, bad)
+    c.update(2, 1.0)  # a legal key with no input gate changes nothing
+    assert c.fresh.counter == 0  # rejected before drawing randomness
+    assert c.query() is None
     with pytest.raises(ValueError):
         c.output(("in", 1))
 
@@ -168,14 +184,14 @@ def test_update_errors():
 def test_update_rejects_invalid_circuit():
     # a run is made from a plan alone, so an invalid circuit never runs:
     # validate names the gate and the rule
-    fan = _chain(("in", InputGate()), ("g", GGate(F1_LEVEL, 0, 1)),
+    fan = _chain(("in", InputGate(1)), ("g", GGate(F1_LEVEL, 0, 1)),
                  ("o1", OutputGate()), ("o2", OutputGate()))
     fan.add_wire("in", "g")
     fan.add_wire("g", "o1")
     fan.add_wire("g", "o2")
     with pytest.raises(CircuitError, match="'g'.*successor"):
         fan.validate()
-    loop = _chain(("in", InputGate()), ("g1", GGate(F1_LEVEL, 0, 1)),
+    loop = _chain(("in", InputGate(1)), ("g1", GGate(F1_LEVEL, 0, 1)),
                   ("g2", GGate(F1_LEVEL, 0, 2)), ("out", OutputGate()))
     loop.add_wire("in", "g1")
     loop.add_wire("g1", "g2")
@@ -186,7 +202,7 @@ def test_update_rejects_invalid_circuit():
 
 def test_duplicate_gate_and_unknown_wire():
     c = CircuitBuilder()
-    c.add_gate("x", InputGate())
+    c.add_gate("x", InputGate(1))
     with pytest.raises(ValueError):
         c.add_gate("x", OutputGate())
     with pytest.raises(ValueError):
@@ -201,10 +217,9 @@ def test_flat_circuit_matches_gsampler_seed_for_seed():
                   for _ in range(rnd.randint(1, 40))]
         oracle = _oracle(1000 + i)
         circuit = Circuit(build_flat_circuit({k: FHALF_LEVEL for k in keys}), oracle)
-        fresh = FreshSource(oracle.seed)
         scalar = GSampler(FHALF_LEVEL, oracle)
         for key, delta in stream:
-            circuit.update(("in", key), delta, fresh)
+            circuit.update(key, delta)
             scalar.update(key, delta)
         assert circuit.output("out") == scalar.query()
 
@@ -214,10 +229,9 @@ def test_flat_circuit_ties_at_infinity_match_gsampler():
     # then the smaller key takes the tie, as in the sampler
     oracle = _oracle(2000)
     circuit = Circuit(build_flat_circuit({k: FHALF_LEVEL for k in (1, 0)}), oracle)
-    fresh = FreshSource(oracle.seed)
     scalar = GSampler(FHALF_LEVEL, oracle)
     for key in (1, 0):
-        circuit.update(("in", key), 1e-310, fresh)
+        circuit.update(key, 1e-310)
         scalar.update(key, 1e-310)
     assert scalar.query() == (0, math.inf)
     assert circuit.output("out") == scalar.query()
@@ -239,9 +253,8 @@ def test_heterogeneous_flat_circuit():
     for rep in range(reps):
         oracle = _oracle(40_000 + rep)
         c = Circuit(plan, oracle)
-        fresh = FreshSource(oracle.seed)
-        c.update(("in", 1), 3.0, fresh)
-        c.update(("in", 2), 5.0, fresh)
+        c.update(1, 3.0)
+        c.update(2, 5.0)
         hits += c.output("out")[0] == 1
     assert abs(hits / reps - 0.75) <= 3 * math.sqrt(0.1875 / reps)
 
@@ -249,7 +262,7 @@ def test_heterogeneous_flat_circuit():
 def test_scalar_gate_halves_rate():
     # input -> frequency gate -> divide by 2 -> output: rate 2 * mass
     mass = 1.5
-    circuit = _chain(("in", InputGate()), ("g", GGate(F1_LEVEL, 0, 1)),
+    circuit = _chain(("in", InputGate(1)), ("g", GGate(F1_LEVEL, 0, 1)),
                      ("half", ScalarGate(2.0)), ("out", OutputGate()))
     circuit.add_wire("in", "g")
     circuit.add_wire("g", "half")
@@ -259,7 +272,7 @@ def test_scalar_gate_halves_rate():
     for rep in range(5_000):
         oracle = _oracle(80_000 + rep)
         c = Circuit(plan, oracle)
-        c.update("in", mass, FreshSource(oracle.seed))
+        c.update(1, mass)
         values.append(c.output("out")[1])
     assert ks_test_exponential(values, 2.0 * mass).passed
 
@@ -270,7 +283,8 @@ _REFERENCE_LEVELS = (LevelFunction(F0()), F1_LEVEL, FHALF_LEVEL, LevelFunction(L
 
 def _random_circuit(rnd):
     """A random valid circuit with two output gates, and by hand each input
-    gate's wires in declaration order as (operations, output, label)."""
+    gate's wires in declaration order as (operations, output, label), by
+    the gate's key."""
     c = CircuitBuilder()
     ids = iter(range(10**6))
     outs = ("o0", "o1")
@@ -311,19 +325,19 @@ def _random_circuit(rnd):
         entry, ops = scalars(last, ops, rnd.randint(0, 1) if last != out else 0)
         entries.append((entry, ops, out, None if last == out else label(last)))
     rnd.shuffle(entries)
-    wires = {f"in{i}": [] for i in range(rnd.randint(1, 3))}
-    for gate in wires:
-        c.add_gate(gate, InputGate())
+    wires = {key: [] for key in range(rnd.randint(1, 3))}
+    for key in wires:
+        c.add_gate(f"in{key}", InputGate(key))
     for j, (entry, ops, out, reported) in enumerate(entries):
-        gate = f"in{j}" if j < len(wires) else rnd.choice(sorted(wires))
-        c.add_wire(gate, entry)
-        wires[gate].append((ops, out, gate if reported is None else reported))
+        key = j if j < len(wires) else rnd.choice(sorted(wires))
+        c.add_wire(f"in{key}", entry)
+        wires[key].append((ops, out, f"in{key}" if reported is None else reported))
     return c, wires
 
 
 def _hub_edge_sampler():
     """An edge-sampler circuit on a hub of degree 26 with rim edges, and by
-    hand, from the construction's definition, each input gate's wires."""
+    hand, from the construction's definition, each vertex's wires."""
     leaves = range(1, 25)
     edges = [(0, v) for v in leaves] + [(0, 1, 2), (0, 3, 4, 5), (1, 2), (6, 7)]
     spec = EdgeSamplerSpec(tuple(range(25)), tuple(edges))
@@ -335,7 +349,7 @@ def _hub_edge_sampler():
             if v in e:
                 edge = struct.pack(f"<{len(e)}Q", *e)
                 vertex_edge = struct.pack(f"<{1 + len(e)}Q", v, *e)
-                wires.setdefault(("in", v), []).extend([
+                wires.setdefault(v, []).extend([
                     ([("g", sqrt_level, SALT_VERTEX_SQRT, vertex_edge),
                       ("g", log_level, SALT_EDGE_LOG, edge)], "out", e),
                     ([("g", softcap_level, SALT_EDGE_SOFTCAP, edge), ("s", 2.0)], "out", e)])
@@ -345,12 +359,12 @@ def _hub_edge_sampler():
 def _cut_circuit(rnd):
     """A random circuit whose paths end in a log or softcap gate after fhalf
     and scalar gates, fanned in, and by hand each input gate's wires in
-    declaration order as (operations, output, label)."""
+    declaration order as (operations, output, label), by the gate's key."""
     c = CircuitBuilder()
     c.add_gate("out", OutputGate())
-    wires = {"in0": [], "in1": []}
-    for gate in wires:
-        c.add_gate(gate, InputGate())
+    wires = {0: [], 1: []}
+    for key in wires:
+        c.add_gate(f"in{key}", InputGate(key))
     ids = iter(range(10**6))
 
     def add(gate, dst):
@@ -380,31 +394,30 @@ def _cut_circuit(rnd):
                     fhalf = LevelFunction(Scaled(rnd.uniform(0.5, 2.0), FHalf()))
                     entry = add(GGate(fhalf, 7, scope), entry)
                     ops = [("g", fhalf, 7, scope)] + ops
-            empty = [gate for gate in sorted(wires) if not wires[gate]]
-            gate = empty[0] if empty else rnd.choice(sorted(wires))
-            c.add_wire(gate, entry)
-            wires[gate].append((ops, "out", label))
+            empty = [key for key in sorted(wires) if not wires[key]]
+            key = empty[0] if empty else rnd.choice(sorted(wires))
+            c.add_wire(f"in{key}", entry)
+            wires[key].append((ops, "out", label))
     return c, wires
 
 
 def _check_against_reference(plan, wires, oracles, updates):
-    """Run plan once per oracle, feed the runs each (input gate, delta) of
+    """Run plan once per oracle, feed the runs each (key, delta) of
     updates, in turn, and recompute every output of every run by hand
     after every update: one fresh draw per wire in declaration order,
     pushed through that wire's gates with seeds drawn under that run's
     oracle, a start value or quotient that underflows to 0 taken as
     5e-324.  So a seed table shared between runs, or a run reading
     another's oracle, fails.  Returns the finite path thresholds found."""
-    runs = [(Circuit(plan, oracle), oracle, FreshSource(oracle.seed), FreshSource(oracle.seed),
-             {}) for oracle in oracles]
+    runs = [(Circuit(plan, oracle), oracle, FreshSource(oracle.seed), {}) for oracle in oracles]
     cuts = []
     original = Circuit._cut
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(Circuit, "_cut", lambda *args: cuts.append(original(*args)) or cuts[-1])
-        for gate, delta in updates:
-            for run, oracle, fresh, ref_fresh, state in runs:
-                run.update(gate, delta, fresh)
-                for ops, out, label in wires[gate]:
+        for key, delta in updates:
+            for run, oracle, ref_fresh, state in runs:
+                run.update(key, delta)
+                for ops, out, label in wires[key]:
                     value = fresh_exp(ref_fresh) / delta or 5e-324
                     for op in ops:
                         if op[0] == "s":
@@ -419,6 +432,7 @@ def _check_against_reference(plan, wires, oracles, updates):
                         state[out] = (label, value)
                 for out in run.output_gate_ids():
                     assert run.output(out) == state.get(out)
+                assert run.fresh.counter == ref_fresh.counter
     return [y for y in cuts if y < math.inf]
 
 
@@ -427,9 +441,9 @@ def test_propagation_matches_reference():
         rnd = random.Random(i)
         c, wires = _random_circuit(rnd)
         plan = c.validate()
-        gates = [rnd.choice(sorted(wires)) for _ in range(rnd.randint(1, 12))]
-        updates = [(gate, 1e-310 if rnd.random() < 0.2 else rnd.uniform(0.1, 5.0))
-                   for gate in gates]
+        keys = [rnd.choice(sorted(wires)) for _ in range(rnd.randint(1, 12))]
+        updates = [(key, 1e-310 if rnd.random() < 0.2 else rnd.uniform(0.1, 5.0))
+                   for key in keys]
         _check_against_reference(plan, wires, (_oracle(600_000 + i), _oracle(700_000 + i)),
                                  updates)
     # log and softcap gates last after fhalf and scalar gates, under deltas
@@ -448,7 +462,7 @@ def test_propagation_matches_reference():
     # rejected before any level
     rnd = random.Random(60)
     plan, wires = _hub_edge_sampler()
-    updates = [(("in", 0) if rnd.random() < 0.3 else rnd.choice(sorted(wires)),
+    updates = [(0 if rnd.random() < 0.3 else rnd.choice(sorted(wires)),
                 1e-310 if rnd.random() < 0.02 else rnd.uniform(0.1, 5.0)) for _ in range(2_000)]
     assert len(_check_against_reference(plan, wires, (_oracle(600_060), _oracle(700_060)),
                                         updates)) >= 500
@@ -460,9 +474,8 @@ def test_hub_paths_are_rejected_before_any_level(monkeypatch):
     import levysketch.circuits as circuits_module
     plan, wires = _hub_edge_sampler()
     rnd = random.Random(61)
-    gates = [("in", 0) if rnd.random() < 0.3 else rnd.choice(sorted(wires))
-             for _ in range(2_000)]
-    deltas = [rnd.uniform(0.1, 5.0) for _ in gates]
+    keys = [0 if rnd.random() < 0.3 else rnd.choice(sorted(wires)) for _ in range(2_000)]
+    deltas = [rnd.uniform(0.1, 5.0) for _ in keys]
     evals = Counter()
     original = LevelFunction.eval
     monkeypatch.setattr(LevelFunction, "eval",
@@ -472,11 +485,10 @@ def test_hub_paths_are_rejected_before_any_level(monkeypatch):
         monkeypatch.setattr(circuits_module, "_REJECTIONS_BEFORE_CUT", rejections)
         evals.clear()
         run = Circuit(plan, _oracle(600_061))
-        fresh = FreshSource(run.oracle.seed)
-        for gate, delta in zip(gates, deltas):
-            run.update(gate, delta, fresh)
-        assert fresh.counter == sum(len(wires[gate]) for gate in gates)
-        outputs.append((run.output("out"), evals["n"] / len(gates)))
+        for key, delta in zip(keys, deltas):
+            run.update(key, delta)
+        assert run.fresh.counter == sum(len(wires[key]) for key in keys)
+        outputs.append((run.output("out"), evals["n"] / len(keys)))
     (without, before), (with_cuts, after) = outputs
     assert with_cuts == without
     assert before > 25 and after < 1, (before, after)
@@ -538,15 +550,14 @@ def test_spec_validation():
 
 def test_circuit_sketch_is_the_scalar_sampler_on_a_flat_circuit():
     plan = build_flat_circuit({1: FHALF_LEVEL, 2: FHALF_LEVEL})
-    inputs = {1: ("in", 1), 2: ("in", 2)}
     stream = [(1, 1.0), (7, 5.0), (2, 3.0), (1, 0.5)]
     for rep in range(20):
-        # one plan serves every run: a new sketch starts empty
-        sketch = CircuitSketch(plan, inputs, "out", _oracle(rep))
+        # one plan serves every run: a new run starts empty
+        sketch = Circuit(plan, _oracle(rep))
         scalar = GSampler(FHALF_LEVEL, _oracle(rep))
         for key, delta in stream:
             sketch.update(key, delta)  # key 7 feeds no gate and is ignored
-            if key in inputs:
+            if key in plan.paths:
                 scalar.update(key, delta)
         assert sketch.query() == scalar.query()
         assert sketch.fresh.counter == scalar.fresh.counter == 3
@@ -567,9 +578,9 @@ def test_edge_sampler_value_law():
     masses = {1: 1.0, 2: 2.0}
     rate = edge_weight(1.0, 2.0)
     values = []
-    sampler = EdgeSampler(spec)
+    sampler = partial(Circuit, build_edge_sampler(spec))
     for rep in range(4_000):
-        s = sampler.fork(_oracle(100_000 + rep))
+        s = sampler(_oracle(100_000 + rep))
         for v, m in masses.items():
             s.update(v, m)
         values.append(s.query()[1])
@@ -581,9 +592,9 @@ def test_path_graph_symmetric():
     spec = EdgeSamplerSpec((1, 2, 3), ((1, 2), (2, 3)))
     hits = 0
     reps = 20_000
-    sampler = EdgeSampler(spec)
+    sampler = partial(Circuit, build_edge_sampler(spec))
     for rep in range(reps):
-        s = sampler.fork(_oracle(200_000 + rep))
+        s = sampler(_oracle(200_000 + rep))
         for v, m in ((1, 2.0), (2, 1.0), (3, 2.0)):
             s.update(v, m)
         hits += s.query()[0] == (1, 2)
@@ -595,9 +606,9 @@ def test_triangle_distribution():
     masses = {1: 1.0, 2: 2.0, 3: 3.0}
     counts = Counter()
     reps = 20_000
-    sampler = EdgeSampler(spec)
+    sampler = partial(Circuit, build_edge_sampler(spec))
     for rep in range(reps):
-        s = sampler.fork(_oracle(300_000 + rep))
+        s = sampler(_oracle(300_000 + rep))
         for v in sorted(masses):
             s.update(v, masses[v])
         counts[s.query()[0]] += 1
@@ -609,9 +620,9 @@ def test_hyperedge_arity3():
     masses = {1: 0.5, 2: 1.0, 3: 2.0, 4: 4.0}
     counts = Counter()
     reps = 15_000
-    sampler = EdgeSampler(spec)
+    sampler = partial(Circuit, build_edge_sampler(spec))
     for rep in range(reps):
-        s = sampler.fork(_oracle(400_000 + rep))
+        s = sampler(_oracle(400_000 + rep))
         for v in sorted(masses):
             s.update(v, masses[v])
         counts[s.query()[0]] += 1
@@ -629,13 +640,12 @@ def test_isolated_vertex_never_sampled():
 
 def test_sketches_over_one_circuit_keep_their_own_state():
     plan = build_flat_circuit({1: FHALF_LEVEL, 2: FHALF_LEVEL})
-    inputs = {1: ("in", 1), 2: ("in", 2)}
-    a = CircuitSketch(plan, inputs, "out", _oracle(1))
+    a = Circuit(plan, _oracle(1))
     a.update(1, 1.0)
     first = a.query()
     assert first is not None
     # a second sketch on the same plan starts empty and leaves a alone
-    b = CircuitSketch(plan, inputs, "out", _oracle(2))
+    b = Circuit(plan, _oracle(2))
     assert b.query() is None
     assert a.query() == first
     scalars = (GSampler(FHALF_LEVEL, _oracle(1)), GSampler(FHALF_LEVEL, _oracle(2)))
@@ -656,7 +666,7 @@ def test_circuit_sketch_checks_updates_like_the_samplers():
     for key, delta in ((3, -1.0), (3, math.nan), (3, math.inf), (99, -1.0), (99, 0.0),
                        (-5, 1.0), (1 << 64, 1.0), (1, -1.0), (1, math.inf)):
         for sketch in (s, scalar):
-            with pytest.raises(ValueError, match="key must lie|delta must be positive"):
+            with pytest.raises(ValueError, match="key must be an int|delta must be positive"):
                 sketch.update(key, delta)
     assert s.fresh.counter == 0 and s.query() is None
     s.update(99, 1.0)  # a legal key with no input gate cannot change the output
@@ -664,50 +674,49 @@ def test_circuit_sketch_checks_updates_like_the_samplers():
     assert s.fresh.counter == 0 and s.query() is None
 
 
-def test_sketch_forks_replay_one_compiled_circuit():
-    # a fork runs the same plan under its own oracle, from empty, bit for
-    # bit as a sketch built for that oracle
+def test_runs_of_one_compiled_plan_replay_fresh_builds():
+    # a run of a shared plan starts empty under its own oracle and matches,
+    # bit for bit, an edge sampler compiled for that oracle alone
     spec = EdgeSamplerSpec((1, 2, 3, 4), ((1, 2), (2, 3), (1, 3, 4)))
-    template = EdgeSampler(spec, _oracle(10))
-    template.update(1, 2.0)
-    before = template.query()
+    plan = build_edge_sampler(spec)
+    first = Circuit(plan, _oracle(10))
+    first.update(1, 2.0)
+    before = first.query()
     for rep in range(30):
-        fork = template.fork(_oracle(1_000 + rep))
-        assert fork.plan is template.plan
-        assert fork.query() is None
+        run = Circuit(plan, _oracle(1_000 + rep))
+        assert run.query() is None
         built = EdgeSampler(spec, _oracle(1_000 + rep))
         for v, m in ((1, 1.0), (4, 0.5), (2, 3.0), (3, 0.25), (1, 1e-310)):
-            fork.update(v, m)
+            run.update(v, m)
             built.update(v, m)
-            assert fork.query() == built.query()
-        assert fork.fresh.counter == built.fresh.counter
-    assert template.query() == before
+            assert run.query() == built.query()
+        assert run.fresh.counter == built.fresh.counter
+    assert first.query() == before
 
 
 def test_a_plan_does_not_see_later_edits():
     # validate compiles the builder as it stands: runs of that plan replay
     # the same outputs after the builder gains a gate and a wire, and only
     # a fresh validate sees them
-    builder = _chain(("out", OutputGate()), ("in", InputGate()),
-                     ("g", GGate(F1_LEVEL, 0, 1)), ("in2", InputGate()))
+    builder = _chain(("out", OutputGate()), ("in", InputGate(1)),
+                     ("g", GGate(F1_LEVEL, 0, 1)), ("in2", InputGate(2)))
     for src, dst in (("in", "g"), ("g", "out"), ("in2", "out")):
         builder.add_wire(src, dst)
     plan = builder.validate()
 
     def run(plan, i):
         c = Circuit(plan, _oracle(i))
-        fresh = FreshSource(c.oracle.seed)
-        for gate, delta in (("in", 2.0), ("in2", 0.5), ("in", 1.0)):
-            c.update(gate, delta, fresh)
-        return [c.output(out) for out in c.output_gate_ids()], fresh.counter
+        for key, delta in ((1, 2.0), (2, 0.5), (1, 1.0)):
+            c.update(key, delta)
+        return [c.output(out) for out in c.output_gate_ids()], c.fresh.counter
 
     before = [run(plan, i) for i in range(3, 8)]
     builder.add_gate("x", OutputGate())
     builder.add_wire("in", "x")
     assert [run(plan, i) for i in range(3, 8)] == before
-    assert plan.outputs == ("out",) and len(plan.paths["in"]) == 1
+    assert plan.outputs == ("out",) and len(plan.paths[1]) == 1
     edited = builder.validate()
-    assert edited.outputs == ("out", "x") and len(edited.paths["in"]) == 2
+    assert edited.outputs == ("out", "x") and len(edited.paths[1]) == 2
     assert all(run(edited, i)[1] == 5 for i in range(3, 8))
 
 
@@ -716,18 +725,18 @@ def test_a_scalar_quotient_that_underflows_is_clamped():
     # to 0.0, which no G-gate takes: the quotient becomes 5e-324 instead,
     # as an underflowing start value does; on the path to the log gate the
     # threshold's forward value is clamped the same way, and certifies
-    c = _chain(("out", OutputGate()), ("in", InputGate()), ("s1", ScalarGate(1e17)),
+    c = _chain(("out", OutputGate()), ("in", InputGate(1)), ("s1", ScalarGate(1e17)),
                ("f1", GGate(F1_LEVEL, 0, 1)), ("s2", ScalarGate(1e17)),
                ("log", GGate(LevelFunction(Log()), 1, 2)))
     for src, dst in (("in", "s1"), ("s1", "f1"), ("f1", "out"),
                      ("in", "s2"), ("s2", "log"), ("log", "out")):
         c.add_wire(src, dst)
-    wires = {"in": [([("s", 1e17), ("g", F1_LEVEL, 0, 1)], "out", "f1"),
-                    ([("s", 1e17), ("g", LevelFunction(Log()), 1, 2)], "out", "log")]}
+    wires = {1: [([("s", 1e17), ("g", F1_LEVEL, 0, 1)], "out", "f1"),
+                 ([("s", 1e17), ("g", LevelFunction(Log()), 1, 2)], "out", "log")]}
     rnd, cuts = random.Random(5), 0
     for i in range(50):
-        updates = [("in", 1e308)] + [("in", rnd.choice((1e308, 1e300, 1.0, 1e-3)))
-                                     for _ in range(rnd.randint(0, 20))]
+        updates = [(1, 1e308)] + [(1, rnd.choice((1e308, 1e300, 1.0, 1e-3)))
+                                  for _ in range(rnd.randint(0, 20))]
         cuts += len(_check_against_reference(c.validate(), wires, (_oracle(950_000 + i),),
                                              updates))
     assert cuts >= 40  # 47
@@ -752,7 +761,7 @@ def _directed_pair_circuit():
         c.add_gate(("log", s, t), GGate(log_level, 2, 2000 + 10 * s + t),
                    label=label)
     for v in (1, 2):
-        c.add_gate(("in", v), InputGate())
+        c.add_gate(("in", v), InputGate(v))
     for s, t in ((1, 2), (2, 1)):
         c.add_wire(("sqrt", s, t), "out")
         c.add_wire(("log", s, t), "out")
@@ -777,8 +786,7 @@ def test_asymmetric_directed_pairs():
     for rep in range(reps):
         oracle = _oracle(500_000 + rep)
         c = Circuit(plan, oracle)
-        fresh = FreshSource(oracle.seed)
         for v in sorted(masses):
-            c.update(("in", v), masses[v], fresh)
+            c.update(v, masses[v])
         counts[c.output("out")[0]] += 1
     assert chi_square_gof(counts, exact).passed

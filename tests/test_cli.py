@@ -168,22 +168,43 @@ def test_cmd_sample_circuit():
 
 def test_load_circuit_file_errors():
     with pytest.raises(StreamParseError):
-        load_circuit_file("gate a input\nwire a b\n")
+        load_circuit_file("gate a input\nwire a b\n", SEED)
     with pytest.raises(StreamParseError):
-        load_circuit_file("nonsense\n")
+        load_circuit_file("nonsense\n", SEED)
     with pytest.raises(StreamParseError):
-        load_circuit_file("gate a input\ngraph-edge 1 2\n")  # mixed formats
+        load_circuit_file("gate a input\ngraph-edge 1 2\n", SEED)  # mixed formats
     # validation failure carries the gate id
     bad = ("gate i input\ngate g g:f1\ngate o1 output\ngate o2 output\n"
            "wire i g\nwire g o1\nwire g o2\n")
     with pytest.raises(StreamParseError) as err:
-        load_circuit_file(bad)
+        load_circuit_file(bad, SEED)
     assert "'g'" in str(err.value)
 
 
+def test_an_input_gate_id_reads_as_a_stream_key(tmp_path, capsys):
+    # gate ids name keys as stream tokens do: decimal ids directly, any
+    # other token hashed under the seed, so '01' feeds gate 1
+    text = ("gate 1 input\ngate user-a input\ngate g g:f1\ngate out output\n"
+            "wire 1 out\nwire user-a g\nwire g out\n")
+    plan = load_circuit_file(text, SEED)
+    assert list(plan.paths) == [1, key_for_string(SEED, "user-a")]
+    report = cmd_sample(RunConfig(SEED, sketch="circuit:x", reps=50),
+                        parse_stream("01 1\nuser-a 1\n", SEED), text)
+    assert report["empty_samples"] == 0 and set(report["counts"]) == {"1", "g"}
+    # two gate ids naming one key exit 2, whichever of them the stream uses
+    circuit = tmp_path / "c.txt"
+    circuit.write_text(text + "gate 01 input\nwire 01 out\n")
+    stream = tmp_path / "s.txt"
+    stream.write_text("user-a 1\n")
+    assert main(["sample", str(stream), "--sketch", f"circuit:{circuit}", "--reps", "5",
+                 "--seed", SEED.hex()]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: <circuit>: invalid circuit: gate '01': another input gate "
+                          "has key 1")
+
+
 def test_load_circuit_graph_edge_shorthand():
-    loaded = load_circuit_file("graph-edge 1 2\ngraph-edge 2 3\n")
-    assert loaded.input_by_token["1"] == ("in", 1)
+    assert list(load_circuit_file("graph-edge 1 2\ngraph-edge 2 3\n", SEED).paths) == [1, 2, 3]
     records = parse_stream("1 1\n2 2\n3 3\n", SEED)
     report = cmd_sample(RunConfig(SEED, sketch="circuit:x", reps=300),
                         records, "graph-edge 1 2\ngraph-edge 2 3\n")

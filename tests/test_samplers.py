@@ -6,6 +6,7 @@ import random
 import struct
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -108,7 +109,7 @@ def test_a_start_value_that_underflows_is_clamped(monkeypatch):
         for s in sketches:
             s.update(3, 1.7e308)
             assert deserialize(s.to_bytes(), level).to_bytes() == s.to_bytes()
-        circuit.update(("in", 3), 1.7e308, FreshSource(oracle.seed))
+        circuit.update(3, 1.7e308)
         b = hash_unit(oracle, 3)
         assert sketches[1].frontier.tuples() == (ParetoTuple(5e-324, b, 3),)
         answer = (3, level.eval(5e-324, b))
@@ -128,6 +129,23 @@ def test_keys_outside_64_bits_rejected():
             assert s.fresh.counter == 0  # rejected before drawing randomness
             s.update((1 << 64) - 1, 1.0)
             assert deserialize(s.to_bytes(), level).to_bytes() == s.to_bytes()
+
+
+def test_a_key_that_is_not_an_int_leaves_the_sketch_untouched():
+    # refused before any draw: hashing such a key fails only after its
+    # fresh exponential is drawn, which would shift every later draw
+    level = LevelFunction(F1())
+    for bad in (1.0, np.int64(5), np.uint64(5), "5", None, (5,)):
+        with pytest.raises(ValueError, match="key must be an int"):
+            Update(bad, 1.0)
+        for s in (GSampler(level, _oracle(0)), ParetoSampler(_oracle(0)),
+                  WorSampler(2, level, _oracle(0)), KParetoSampler(2, _oracle(0)),
+                  Circuit(build_flat_circuit({5: level}), _oracle(0))):
+            with pytest.raises(ValueError, match="key must be an int"):
+                s.update(bad, 1.0)
+            assert s.fresh.counter == 0
+            answer = s.query(level) if hasattr(s, "frontier") else s.query()
+            assert not answer  # None, or no keys
 
 
 def test_k_fits_the_frame_field():
@@ -271,6 +289,25 @@ def test_merge_mismatched_sketches():
     c = GSampler(LevelFunction(F0()), _oracle(1))
     with pytest.raises(ValueError):
         a.merge_from(c)
+
+
+def test_merging_sketches_of_different_kinds_is_refused():
+    # the kinds keep different state, so a merge across kinds is refused
+    # with ValueError, not AttributeError, and changes nothing
+    level, oracle = LevelFunction(F1()), _oracle(1)
+    kinds = (lambda: GSampler(level, oracle), lambda: ParetoSampler(oracle),
+             lambda: WorSampler(2, level, oracle), lambda: KParetoSampler(2, oracle))
+    for make_a in kinds:
+        for make_b in kinds:
+            a, b = make_a(), make_b()
+            b.update(1, 1.0)
+            if type(a) is type(b):
+                a.merge_from(b)
+                continue
+            before = a.to_bytes()
+            with pytest.raises(ValueError, match="cannot merge a"):
+                a.merge_from(b)
+            assert a.to_bytes() == before
 
 
 def test_split_replay_equivalence():
