@@ -88,7 +88,7 @@ class InputGate:
     key: int
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.key, int) and 0 <= self.key < 1 << 64):
+        if not (type(self.key) is int and 0 <= self.key < 1 << 64):
             raise ValueError(f"input gate key must be an int in [0, 2^64), got {self.key!r}")
 
 
@@ -119,7 +119,7 @@ class GGate:
     def __post_init__(self) -> None:
         # an int scope is a 64-bit key: hash_unit would alias -1 to 2^64 - 1
         scope = self.scope
-        if not (isinstance(scope, bytes) or (isinstance(scope, int) and 0 <= scope < 1 << 64)):
+        if not (isinstance(scope, bytes) or (type(scope) is int and 0 <= scope < 1 << 64)):
             raise ValueError(f"G-gate scope must be bytes or an int in [0, 2^64), got {scope!r}")
 
     def unit(self, oracle: OracleHash) -> float:
@@ -368,10 +368,12 @@ class Circuit:
         return y if last.level.certifies(a, units[last_id], bound) else math.inf
 
     def output(self, output_gate) -> Optional[tuple[object, float]]:
-        """The stored (identifier, value) pair of an output gate, if any."""
-        if output_gate not in self._out_state:
-            raise ValueError(f"{output_gate!r} is not an output gate")
-        state = self._out_state[output_gate]
+        """The stored (identifier, value) pair of an output gate, if any;
+        ValueError for any other id, an unhashable one included."""
+        try:
+            state = self._out_state[output_gate]
+        except (KeyError, TypeError):
+            raise ValueError(f"{output_gate!r} is not an output gate") from None
         return None if state[0] is None else state
 
     def output_gate_ids(self) -> list:
@@ -414,7 +416,7 @@ class EdgeSamplerSpec:
 
     def __post_init__(self) -> None:
         for v in self.vertices:  # edge scopes pack vertices as G-gate int scopes
-            if not (isinstance(v, int) and 0 <= v < 1 << 64):
+            if not (type(v) is int and 0 <= v < 1 << 64):
                 raise ValueError(f"vertex ids must be ints in [0, 2^64), got {v!r}")
         vertex_set = set(self.vertices)
         if len(vertex_set) != len(self.vertices):
@@ -425,7 +427,8 @@ class EdgeSamplerSpec:
                 raise ValueError(f"edge arity must be 2..4, got {e}")
             if len(set(e)) != len(e):
                 raise ValueError(f"self-loop in edge {e}")
-            if not set(e) <= vertex_set:
+            # True or 1.0 would pass as vertex 1 by equality
+            if not set(e) <= vertex_set or any(type(v) is not int for v in e):
                 raise ValueError(f"edge {e} references unknown vertices")
             canon = tuple(sorted(e))
             if canon in seen:

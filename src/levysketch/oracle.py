@@ -66,9 +66,6 @@ class ExactDistribution:
         except ValueError:
             return 0.0
 
-    def as_dict(self) -> dict:
-        return dict(zip(self.support, self.probs))
-
 
 @dataclass(frozen=True)
 class GofReport:

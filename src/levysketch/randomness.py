@@ -111,8 +111,8 @@ def hash_unit_bytes(h: OracleHash, data: bytes) -> float:
 
 
 def key_for_bytes(seed: bytes, data: bytes) -> int:
-    """Map arbitrary bytes to a 64-bit key id (used for string keys and
-    canonical edge encodings).  Collisions are negligible at desk scale."""
+    """Map arbitrary bytes to a 64-bit key id (used for string keys).
+    Collisions are negligible at desk scale."""
     digest = hashlib.blake2b(b"K" + data, key=seed, digest_size=8).digest()
     return int.from_bytes(digest, "little")
 

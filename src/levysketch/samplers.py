@@ -17,18 +17,21 @@ reference the checks compare against.
 
 * WorSampler    -- k-entry sketch sampling k distinct keys without
                    replacement, ordered by the sequential-ratio law.
-* GSampler      -- its k = 1 case: two words of state, one weight function,
-                   exact sampling probability G(x(v)) / sum_u G(x(u)) at all
-                   times.
+* GSampler      -- its k = 1 subclass: two words of state, one weight
+                   function, exact sampling probability
+                   G(x(v)) / sum_u G(x(u)) at all times.
 * KParetoSampler-- universal variant of the WOR sketch: keeps the points
                    dominated by fewer than k others, so a query can report
                    the ordered k-sample for any weight function.  Each point
                    carries its dominator count, so an insert costs O(m) for
                    m retained points.
-* ParetoSampler -- its k = 1 case: the minimum Pareto frontier of all update
-                   points; query with any weight function, seed-for-seed
-                   equal to the scalar sketch's answer.  Expected size is
+* ParetoSampler -- its k = 1 subclass: the minimum Pareto frontier of all
+                   update points; its answer for any weight function equals
+                   the scalar sketch's, seed for seed.  Expected size is
                    harmonic (about ln n + 1 for n distinct keys).
+
+A k = 1 subclass differs from its family's sketch only in the shape of its
+query answer and in its frame tag.
 
 All sketches sharing a seed and processing the same updates (with the
 per-update randomness drawn from the same counters) agree exactly, so
@@ -81,8 +84,9 @@ _K_LIMIT = 1 << 32  # frames store k in 32 bits
 
 
 def check_update(key: int, delta: float) -> None:
-    """ValueError unless key is an int in [0, 2^64) and 0 < delta < inf."""
-    if not (isinstance(key, int) and 0 <= key < _KEY_LIMIT):
+    """ValueError unless key is an int in [0, 2^64), not a bool, and
+    0 < delta < inf."""
+    if not (type(key) is int and 0 <= key < _KEY_LIMIT):
         raise ValueError(f"key must be an int in [0, 2^64), got {key!r}")
     if not (0 < delta < math.inf):
         raise ValueError(f"delta must be positive and finite, got {delta}")
@@ -271,93 +275,6 @@ class KParetoFrontier:
         return best
 
 
-def _level_draw(sketch, key: int, delta: float) -> float:
-    """One update's candidate value t = l_G(Y/delta, H(key)), bounded by the
-    state's threshold for key; Y/delta is the least positive double where it
-    underflows to 0."""
-    check_update(key, delta)
-    y = fresh_exp(sketch.fresh)
-    return sketch.level.eval(y / delta or 5e-324, hash_unit(sketch.oracle, key),
-                             sketch.state.threshold(key))
-
-
-def _frontier_insert(sketch, key: int, delta: float) -> None:
-    """Insert one update's raw point (Y/delta, H(key)), Y/delta clamped as
-    in _level_draw."""
-    check_update(key, delta)
-    y = fresh_exp(sketch.fresh)
-    sketch.frontier.insert(ParetoTuple(y / delta or 5e-324, hash_unit(sketch.oracle, key), key))
-    if len(sketch.frontier) > sketch.max_size:
-        sketch.max_size = len(sketch.frontier)
-
-
-class GSampler:
-    """Two-word perfect sampler for one weight function: a KMinState(1).
-
-    After any update stream, the stored key equals v with probability
-    exactly G(x(v)) / sum_u G(x(u)); the stored value is the running
-    minimum of the per-update level evaluations and is marginally
-    Exp(sum_u G(x(u))).
-    """
-
-    def __init__(self, level: LevelFunction, oracle: OracleHash = OracleHash(),
-                 fresh: Optional[FreshSource] = None):
-        self.level = level
-        self.oracle = oracle
-        self.fresh = fresh if fresh is not None else FreshSource(oracle.seed)
-        self.state = KMinState(1)
-
-    def update(self, key: int, delta: float) -> None:
-        self.state.offer(key, _level_draw(self, key, delta))
-
-    def query(self) -> Optional[tuple[int, float]]:
-        entries = self.state.ordered()
-        return entries[0] if entries else None
-
-    def merge_from(self, other: "GSampler") -> None:
-        """Absorb a shard built with the same seed and weight function."""
-        _check_mergeable(self, other)
-        self.state.merge_from(other.state)
-
-    def to_bytes(self) -> bytes:
-        entries = [(h, key) for key, h in self.state.ordered()]
-        return _frame(_TAG_GSAMPLER, self.oracle.seed, (len(entries),), entries)
-
-
-class ParetoSampler:
-    """Universal sketch: the minimum Pareto frontier of all update points,
-    a KParetoFrontier(1).
-
-    Any weight function can be queried after the fact, and the answer is
-    identical to what a GSampler for that weight function would have
-    produced from the same seed and update stream.
-    """
-
-    def __init__(self, oracle: OracleHash = OracleHash(),
-                 fresh: Optional[FreshSource] = None):
-        self.oracle = oracle
-        self.fresh = fresh if fresh is not None else FreshSource(oracle.seed)
-        self.frontier = KParetoFrontier(1)
-        self.max_size = 0
-
-    def update(self, key: int, delta: float) -> None:
-        _frontier_insert(self, key, delta)
-
-    def query(self, level: LevelFunction) -> Optional[tuple[int, float]]:
-        """Key and value minimizing l_G(a, b) over the frontier."""
-        top = self.frontier.top(level, 1)
-        return (top[0][1], top[0][0]) if top else None
-
-    def merge_from(self, other: "ParetoSampler") -> None:
-        _check_mergeable(self, other)
-        self.frontier.merge_from(other.frontier)
-        self.max_size = max(self.max_size, other.max_size, len(self.frontier))
-
-    def to_bytes(self) -> bytes:
-        return _frame(_TAG_PARETO, self.oracle.seed, (len(self.frontier),),
-                      self.frontier)
-
-
 class WorSampler:
     """k-sample without replacement for one weight function.
 
@@ -365,6 +282,8 @@ class WorSampler:
     sequential-ratio law: each successive key appears with probability
     proportional to its weight among the not-yet-selected keys.
     """
+
+    _TAG = _TAG_WOR
 
     def __init__(self, k: int, level: LevelFunction,
                  oracle: OracleHash = OracleHash(),
@@ -379,7 +298,14 @@ class WorSampler:
         return self.state.k
 
     def update(self, key: int, delta: float) -> None:
-        self.state.offer(key, _level_draw(self, key, delta))
+        """Offer the candidate t = l_G(Y/delta, H(key)), solved only below
+        the state's threshold for key; Y/delta is the least positive double
+        where it underflows to 0."""
+        check_update(key, delta)
+        y = fresh_exp(self.fresh)
+        state = self.state
+        state.offer(key, self.level.eval(y / delta or 5e-324, hash_unit(self.oracle, key),
+                                         state.threshold(key)))
 
     def sample_ordered(self) -> list[int]:
         """Keys ascending by stored value; fewer than k if fewer keys seen."""
@@ -389,12 +315,37 @@ class WorSampler:
         return self.state.ordered()
 
     def merge_from(self, other: "WorSampler") -> None:
+        """Absorb a shard of the same kind, seed and weight function."""
         _check_mergeable(self, other)
         self.state.merge_from(other.state)
 
     def to_bytes(self) -> bytes:
         entries = [(h, key) for key, h in self.state.ordered()]
-        return _frame(_TAG_WOR, self.oracle.seed, (self.k, len(entries)), entries)
+        return _frame(self._TAG, self.oracle.seed, self.k, entries)
+
+
+class GSampler(WorSampler):
+    """Two-word perfect sampler for one weight function: WorSampler at k = 1.
+
+    After any update stream, the stored key equals v with probability
+    exactly G(x(v)) / sum_u G(x(u)); the stored value is the running
+    minimum of the per-update level evaluations and is marginally
+    Exp(sum_u G(x(u))).
+    """
+
+    _TAG = _TAG_GSAMPLER
+
+    def __init__(self, level: LevelFunction, oracle: OracleHash = OracleHash(),
+                 fresh: Optional[FreshSource] = None):
+        super().__init__(1, level, oracle, fresh)
+
+    # bound here, not inherited: bench/spans.py traces each kind through
+    # the methods in its own class __dict__
+    update, merge_from, to_bytes = WorSampler.update, WorSampler.merge_from, WorSampler.to_bytes
+
+    def query(self) -> Optional[tuple[int, float]]:
+        entries = self.state.ordered()
+        return entries[0] if entries else None
 
 
 class KParetoSampler:
@@ -404,6 +355,8 @@ class KParetoSampler:
     weight function over the retained points and reports the k smallest,
     matching a WorSampler run with the same seed exactly.
     """
+
+    _TAG = _TAG_KPARETO
 
     def __init__(self, k: int, oracle: OracleHash = OracleHash(),
                  fresh: Optional[FreshSource] = None):
@@ -417,7 +370,14 @@ class KParetoSampler:
         return self.frontier.k
 
     def update(self, key: int, delta: float) -> None:
-        _frontier_insert(self, key, delta)
+        """Insert the raw point (Y/delta, H(key)), Y/delta clamped as in
+        WorSampler.update."""
+        check_update(key, delta)
+        y = fresh_exp(self.fresh)
+        frontier = self.frontier
+        frontier.insert(ParetoTuple(y / delta or 5e-324, hash_unit(self.oracle, key), key))
+        if len(frontier) > self.max_size:
+            self.max_size = len(frontier)
 
     def query(self, level: LevelFunction) -> list[int]:
         """The k keys with smallest level value, ascending; fewer if fewer
@@ -430,8 +390,32 @@ class KParetoSampler:
         self.max_size = max(self.max_size, other.max_size, len(self.frontier))
 
     def to_bytes(self) -> bytes:
-        return _frame(_TAG_KPARETO, self.oracle.seed, (self.k, len(self.frontier)),
-                      self.frontier)
+        return _frame(self._TAG, self.oracle.seed, self.k, self.frontier)
+
+
+class ParetoSampler(KParetoSampler):
+    """Universal sketch: the minimum Pareto frontier of all update points,
+    a KParetoSampler with k = 1.
+
+    Any weight function can be queried after the fact, and the answer is
+    identical to what a GSampler for that weight function would have
+    produced from the same seed and update stream.
+    """
+
+    _TAG = _TAG_PARETO
+
+    def __init__(self, oracle: OracleHash = OracleHash(),
+                 fresh: Optional[FreshSource] = None):
+        super().__init__(1, oracle, fresh)
+
+    # bound here for the same reason as GSampler's
+    update, merge_from, to_bytes = (KParetoSampler.update, KParetoSampler.merge_from,
+                                    KParetoSampler.to_bytes)
+
+    def query(self, level: LevelFunction) -> Optional[tuple[int, float]]:
+        """Key and value minimizing l_G(a, b) over the frontier."""
+        top = self.frontier.top(level, 1)
+        return (top[0][1], top[0][0]) if top else None
 
 
 def _check_mergeable(a, b) -> None:
@@ -481,10 +465,11 @@ _LAYOUTS = {
 }
 
 
-def _frame(tag: int, seed: bytes, header: tuple, entries) -> bytes:
+def _frame(tag: int, seed: bytes, k: int, entries) -> bytes:
     header_layout, entry_layout = _LAYOUTS[tag]
+    fields = len(header_layout) - 1  # one letter per field after the byte order
     parts = [_HEAD.pack(MAGIC, FORMAT_VERSION, tag, seed),
-             struct.pack(header_layout, *header)]
+             struct.pack(header_layout, *(k, len(entries))[-fields:])]
     parts += [struct.pack(entry_layout, *e) for e in entries]
     return b"".join(parts)
 

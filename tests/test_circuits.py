@@ -132,7 +132,7 @@ def test_two_input_gates_on_one_key_violation():
 
 
 def test_input_gate_key_must_be_a_64_bit_int():
-    for bad in (None, "1", 1.5, (1,), -1, 1 << 64):
+    for bad in (None, "1", 1.5, (1,), -1, 1 << 64, True, False):
         with pytest.raises(ValueError, match="input gate key"):
             InputGate(bad)
     gate = InputGate((1 << 64) - 1)  # frozen, so a plan's keys stay as validated
@@ -157,7 +157,7 @@ def test_flat_circuit_of_a_sum_matches_gsampler():
 
 
 def test_ggate_scope_must_be_a_key_or_bytes():
-    for bad in (None, "edge", 1.5, (1, 2), -1, 1 << 64):
+    for bad in (None, "edge", 1.5, (1, 2), -1, 1 << 64, True, False):
         with pytest.raises(ValueError):
             GGate(F1_LEVEL, 0, bad)
     gate = GGate(F1_LEVEL, 0, 1)  # frozen, so a plan's gates stay as validated
@@ -177,8 +177,9 @@ def test_update_errors():
     c.update(2, 1.0)  # a legal key with no input gate changes nothing
     assert c.fresh.counter == 0  # rejected before drawing randomness
     assert c.query() is None
-    with pytest.raises(ValueError):
-        c.output(("in", 1))
+    for bad in (("in", 1), "nope", ["out"], {}):  # unhashable ids included
+        with pytest.raises(ValueError, match="not an output gate"):
+            c.output(bad)
 
 
 def test_update_rejects_invalid_circuit():
@@ -536,13 +537,16 @@ def test_spec_validation():
         EdgeSamplerSpec((1, 2), ((1, 1),))  # self loop
     with pytest.raises(ValueError):
         EdgeSamplerSpec((1, 2), ((1, 3),))  # unknown vertex
+    for bad in (True, 1.0):  # equal to vertex 1, but not a vertex id
+        with pytest.raises(ValueError, match="unknown vertices"):
+            EdgeSamplerSpec((1, 2), ((bad, 2),))
     with pytest.raises(ValueError):
         EdgeSamplerSpec((1, 1, 2), ((1, 2),))  # duplicate vertex
     with pytest.raises(ValueError):
         EdgeSamplerSpec((1, 2), ((1, 2), (2, 1)))  # duplicate edge
     with pytest.raises(ValueError):
         EdgeSamplerSpec((1, 2, 3, 4, 5), ((1, 2, 3, 4, 5),))  # arity 5
-    for bad in (-1, 1 << 64, 1.5, "1"):  # not a 64-bit vertex id
+    for bad in (-1, 1 << 64, 1.5, "1", True, False):  # not a 64-bit vertex id
         with pytest.raises(ValueError, match="vertex ids"):
             EdgeSamplerSpec((bad, 2), ((bad, 2),))
     EdgeSamplerSpec((0, (1 << 64) - 1), ((0, (1 << 64) - 1),))

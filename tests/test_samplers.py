@@ -135,7 +135,7 @@ def test_a_key_that_is_not_an_int_leaves_the_sketch_untouched():
     # refused before any draw: hashing such a key fails only after its
     # fresh exponential is drawn, which would shift every later draw
     level = LevelFunction(F1())
-    for bad in (1.0, np.int64(5), np.uint64(5), "5", None, (5,)):
+    for bad in (1.0, np.int64(5), np.uint64(5), "5", None, (5,), True, False):
         with pytest.raises(ValueError, match="key must be an int"):
             Update(bad, 1.0)
         for s in (GSampler(level, _oracle(0)), ParetoSampler(_oracle(0)),
@@ -295,17 +295,22 @@ def test_merging_sketches_of_different_kinds_is_refused():
     # the kinds keep different state, so a merge across kinds is refused
     # with ValueError, not AttributeError, and changes nothing
     level, oracle = LevelFunction(F1()), _oracle(1)
+    # a k = 1 subclass keeps its own query shape and frame tag, so it does
+    # not merge with its family's sketch at k = 1 either
     kinds = (lambda: GSampler(level, oracle), lambda: ParetoSampler(oracle),
-             lambda: WorSampler(2, level, oracle), lambda: KParetoSampler(2, oracle))
+             lambda: WorSampler(2, level, oracle), lambda: KParetoSampler(2, oracle),
+             lambda: WorSampler(1, level, oracle), lambda: KParetoSampler(1, oracle))
     for make_a in kinds:
         for make_b in kinds:
             a, b = make_a(), make_b()
             b.update(1, 1.0)
-            if type(a) is type(b):
+            if make_a is make_b:
                 a.merge_from(b)
                 continue
+            # one class at two values of k: the state refuses the merge
+            match = "cannot merge a" if type(a) is not type(b) else "cannot merge k="
             before = a.to_bytes()
-            with pytest.raises(ValueError, match="cannot merge a"):
+            with pytest.raises(ValueError, match=match):
                 a.merge_from(b)
             assert a.to_bytes() == before
 
@@ -862,7 +867,7 @@ def test_candidates_replay_from_the_definitions(grammar):
         oracle = OracleHash(derive_seed(SEED, 120), base_salt)
         level = LevelFunction(parse_weight(grammar))
         sketches = [GSampler(level, oracle), WorSampler(3, level, oracle),
-                    WorSampler(8, level, oracle)]
+                    WorSampler(8, level, oracle), WorSampler(1, level, oracle)]
         fresh = FreshSource(oracle.seed)
         minima = {}
         rnd = random.Random(stream_seed)
@@ -880,6 +885,7 @@ def test_candidates_replay_from_the_definitions(grammar):
         assert sketches[0].query() == (ranked[0][1], ranked[0][0])
         assert sketches[1].query() == [(key, h) for h, key in ranked[:3]]
         assert sketches[2].query() == [(key, h) for h, key in ranked[:8]]
+        assert sketches[3].query() == [(key, h) for h, key in ranked[:1]]
 
 
 def test_kmin_threshold():
